@@ -34,13 +34,7 @@ import numpy as np
 from ..em.storage import EMContext
 from ..hashing.base import HashFunction
 from ..tables.base import ExternalDictionary, LayoutSnapshot
-from ..tables.batching import (
-    concat_records,
-    fresh_in_order,
-    membership,
-    normalize_keys,
-    partition_by_bucket,
-)
+from ..tables.batching import fresh_in_order, normalize_keys, partition_by_bucket
 from ..tables.overflow import ChainedBucket, bulk_fill_buckets, bulk_merge_into
 from .config import BufferedParams
 from .logmethod import LogMethodHashTable
@@ -292,51 +286,25 @@ class BufferedHashTable(ExternalDictionary):
             self.stats.hits += int(np.count_nonzero(out))
             return out
         hhat = self._hhat
-        d = len(hhat)
-        stats = self.ctx.stats
         if (
             cost_out is None
             # Crossover: materialising + sorting Ĥ costs O(stored), so
             # the vectorised path only pays off for batches that are
             # not tiny relative to the table (cf. the LSM screen gate).
             and 24 * n >= self._hhat_count
-            # The bulk branch charges reads wholesale without consulting
-            # the buffer pool; cached runs take the scalar probes so
-            # every read is labelled hit or miss.
-            and self.ctx.disk.cache is None
             and self._recent.levels_chain_free()
             and all(not bkt._chain for bkt in hhat)
         ):
-            # Fully vectorised: one bulk Ĥ probe (membership in Ĥ's
-            # item set equals membership in the key's own bucket, since
-            # items live where they hash) plus bulk level probes for
-            # the Ĥ misses.  Reads are charged in bulk; the pending
-            # read-modify-write block is restored to what the scalar
-            # walk would have left.
+            # Fully vectorised: one bulk walk of Ĥ then the log-method
+            # levels, charged in the scalar walk's block order (and, with
+            # a buffer pool attached, replayed through it so every read
+            # is labelled hit or miss).
             in_mem = self._recent.memory_membership(arr)
-            rest = ~in_mem
-            nprobe = int(np.count_nonzero(rest))
-            if nprobe == 0:
-                self.stats.hits += int(np.count_nonzero(in_mem))
-                return in_mem
-            stats.reads += nprobe
-            records_arr = self.ctx.disk.records_arr
-            hhat_items = concat_records(
-                records_arr(bkt.primary) for bkt in hhat
-            )
-            found_hhat = membership(arr, hhat_items) & rest
-            found_lvl = self._recent.probe_levels_batch(arr, rest & ~found_hhat)
-            i = int(np.flatnonzero(rest)[-1])
-            hv_i = int(self.h.hash(key_list[i]))
-            if found_hhat[i] or not self._recent.nonempty_levels():
-                stats._last_read_block = hhat[hv_i % d].primary
-            else:
-                stats._last_read_block = self._recent._final_probe_block(
-                    key_list[i], hv_i
-                )
-            out = in_mem | found_hhat | found_lvl
+            out = in_mem | self._recent.probe_levels_batch(arr, ~in_mem, head=hhat)
             self.stats.hits += int(np.count_nonzero(out))
             return out
+        d = len(hhat)
+        stats = self.ctx.stats
         hv_list = self.h.hash_array(arr).tolist()
         in_mem_one = self._recent.in_memory
         recent_disk = self._recent.lookup_disk_only

@@ -269,28 +269,10 @@ class LogMethodHashTable(ExternalDictionary):
         n = len(key_list)
         # The whole-level materialisation only pays off for batches that
         # are not tiny relative to the table (cf. the LSM screen gate).
-        # Cached runs take the scalar probes so every read is labelled
-        # hit or miss against the buffer pool.
-        if (
-            cost_out is None
-            and 24 * n >= self._size
-            and self.ctx.disk.cache is None
-            and self.levels_chain_free()
-        ):
-            # Fully vectorised: membership per level via np.isin (an
-            # item always lives in its own hash bucket, so level-wide
-            # membership equals bucket membership), reads charged in
-            # bulk per level.
+        if cost_out is None and 24 * n >= self._size and self.levels_chain_free():
             self.stats.lookups += n
             in_h0 = self.memory_membership(arr)
-            found = self.probe_levels_batch(arr, ~in_h0)
-            idxs = np.flatnonzero(~in_h0)
-            if idxs.size and self.nonempty_levels():
-                i = int(idxs[-1])
-                self.ctx.stats._last_read_block = self._final_probe_block(
-                    key_list[i], int(self.h.hash(key_list[i]))
-                )
-            out = in_h0 | found
+            out = in_h0 | self.probe_levels_batch(arr, ~in_h0)
             self.stats.hits += int(np.count_nonzero(out))
             return out
         hv = self.h.hash_array(arr).tolist()
@@ -378,49 +360,76 @@ class LogMethodHashTable(ExternalDictionary):
         h0_arr = np.fromiter(self._h0, dtype=np.uint64, count=len(self._h0))
         return membership(arr, h0_arr)
 
-    def probe_levels_batch(self, arr: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def probe_levels_batch(
+        self,
+        arr: np.ndarray,
+        mask: np.ndarray,
+        *,
+        head: list[ChainedBucket] | None = None,
+    ) -> np.ndarray:
         """Vectorised ``lookup_disk_only(charge=True)`` for ``arr[mask]``.
 
-        Requires :meth:`levels_chain_free`.  Charges one read per key
-        per probed level (a key stops probing at its first hit), in
-        bulk.  The pending read-modify-write block is left for the
-        caller to fix up — see the fast path in :meth:`lookup_batch`.
+        Requires :meth:`levels_chain_free`.  Each masked key probes its
+        bucket in ``head`` — a chain-free bucket row probed ahead of the
+        levels, the Theorem 2 table's ``Ĥ`` — then in each non-empty
+        level, stopping at its first hit: the scalar walk.  An item
+        always lives in its own hash bucket, so membership in a whole
+        row equals membership in the key's bucket.  The walk's reads are
+        charged in bulk by :meth:`_charge_walk`.
         """
-        stats = self.ctx.stats
+        rows = [] if head is None else [head]
+        rows += [
+            lvl.buckets for lvl in self._levels if lvl is not None and not lvl.empty
+        ]
         found = np.zeros(len(arr), dtype=bool)
-        searching = np.flatnonzero(mask)
+        probing = np.flatnonzero(mask)
+        if not rows or probing.size == 0:
+            return found
         records_arr = self.ctx.disk.records_arr
-        for lvl in self._levels:
-            if lvl is None or lvl.empty:
-                continue
-            if searching.size == 0:
+        keys = arr[probing]
+        # visits[i, j]: key i's walk reaches row j (still searching there).
+        visits = np.zeros((len(keys), len(rows)), dtype=bool)
+        searching = np.ones(len(keys), dtype=bool)
+        for j, row in enumerate(rows):
+            idx = np.flatnonzero(searching)
+            if idx.size == 0:
                 break
-            stats.reads += int(searching.size)
-            items = concat_records(
-                records_arr(bkt.primary) for bkt in lvl.buckets
-            )
-            hit = membership(arr[searching], items)
-            found[searching[hit]] = True
-            searching = searching[~hit]
+            visits[:, j] = searching
+            items = concat_records(records_arr(bkt.primary) for bkt in row)
+            searching[idx[membership(keys[idx], items)]] = False
+        found[probing] = ~searching
+        self._charge_walk(keys, rows, visits)
         return found
 
-    def _final_probe_block(self, key: int, hv: int) -> int | None:
-        """The block id of ``key``'s last charged level probe.
+    def _charge_walk(
+        self, keys: np.ndarray, rows: list[list[ChainedBucket]], visits: np.ndarray
+    ) -> None:
+        """Charge a vectorised walk exactly as the scalar walk would.
 
-        Mirrors the walk of :meth:`lookup_disk_only`: levels in order,
-        stopping at the first hit; used to restore the pending RMW
-        block after a bulk probe.
+        Uncached, every probe is one read: the count is charged in bulk
+        and the last key's last probe is left as the pending
+        read-modify-write block.  With a buffer pool attached, the walk's
+        block ids, key by key in the scalar order, go to
+        :meth:`~repro.em.cache.CachedDisk.charge_probes`, which replays
+        them through the pool and charges only the misses.
         """
-        key_in = self.ctx.disk.key_in
-        last: int | None = None
-        for lvl in self._levels:
-            if lvl is None or lvl.empty:
-                continue
-            primary = lvl.buckets[hv % len(lvl.buckets)].primary
-            last = primary
-            if key_in(primary, key):
-                break
-        return last
+        disk = self.ctx.disk
+        if disk.cache is None:
+            stats = disk.stats
+            row = rows[int(np.flatnonzero(visits[-1])[-1])]
+            hv = int(self.h.hash(int(keys[-1])))
+            stats.reads += int(np.count_nonzero(visits))
+            stats._last_read_block = row[hv % len(row)].primary
+            return
+        hv = self.h.hash_array(keys)
+        ids = np.empty(visits.shape, dtype=np.int64)
+        for j, row in enumerate(rows):
+            primaries = np.fromiter(
+                (bkt.primary for bkt in row), dtype=np.int64, count=len(row)
+            )
+            ids[:, j] = primaries[hv % np.uint64(len(row))]
+        # Boolean indexing walks row-major: key by key, rows in order.
+        disk.charge_probes(ids[visits])
 
     # -- migration -------------------------------------------------------------------
 

@@ -25,15 +25,23 @@ preserved, not abandoned:
   charge nothing in either configuration, are counted separately as
   ``negative_hits``.)
 
-Coherence discipline of :class:`CachedDisk`: frames are always *clean
-copies* of committed backend state.  Every mutating path —
-``write``/``store``/``free``, the copy-light loans (``load``/``stage``),
-``remove_record`` on a hit, and the uncharged bulk mutators — drops the
-resident frame first (write-invalidate), so a frame can never go stale
-behind an outstanding loan or a backend-level bulk append.  Streaming
-bulk reads (``scan``/``read_records``) count hits and misses but never
-install frames, keeping one cold table scan from flushing the pool
-(scan resistance).
+Coherence discipline of :class:`CachedDisk`: a frame is an LRU
+*residency entry* plus a lazily built membership memo, never a copy of
+the block.  Every mutating path — ``write``/``store``/``free``, the
+copy-light loans (``load``/``stage``), ``remove_record`` on a hit, and
+the uncharged bulk mutators — drops the resident frame first
+(write-invalidate), so a resident block always equals its committed
+backend state: whole-block hits (``read``/``scan``/``read_records``)
+read the backend without charging, and probe hits answer from the
+frame's memo, a set of the block's records built on its first probe hit
+and dropped with the frame.  Streaming bulk reads
+(``scan``/``read_records``) count hits and misses but never install
+frames, keeping one cold table scan from flushing the pool (scan
+resistance).  The vectorised lookup paths charge a whole walk of block
+ids through :meth:`CachedDisk.charge_probes`, which replays it with
+:meth:`BufferPool.access_sequence` — the LRU reference-string
+simulation of Mattson et al. (1970) over plain ints — to the same hits,
+misses, evictions and resident order as the per-id probes.
 
 A cache of ``capacity_blocks`` blocks consumes ``capacity_blocks * b``
 words of the memory budget.  Cached contexts model a machine with ``m``
@@ -46,11 +54,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .block import Block
 from .disk import Disk
-from .errors import ConfigurationError, InvalidBlockError
+from .errors import ConfigurationError
 from .iostats import IOStats
 from .memory import MemoryBudget
 
@@ -147,10 +157,16 @@ class BufferPool:
     live frame for read-only bulk inspection, mirroring
     ``Disk.read(copy=False)``'s backend-handle loan.
 
+    Residency without contents: :meth:`access` and
+    :meth:`access_sequence` model reads through the pool over plain
+    block ids, installing *residency-only* frames that hold no
+    :class:`Block`.  Such a frame is clean, so the disk holds its
+    contents; :meth:`get` fetches them uncharged on its first hit.
+
     :attr:`on_evict` is an optional hook called with the block id
     whenever a frame leaves the pool (LRU eviction, :meth:`invalidate`,
-    or :meth:`clear`); :class:`CachedDisk` uses it to keep its
-    record-membership index in sync with residency.
+    or :meth:`clear`); :class:`CachedDisk` uses it to drop a frame's
+    membership memo with the frame.
     """
 
     def __init__(
@@ -171,7 +187,9 @@ class BufferPool:
         self.owner = owner
         if budget is not None:
             budget.charge(owner, capacity_blocks * disk.b)
-        self._frames: OrderedDict[int, Block] = OrderedDict()
+        #: Resident frames in LRU order; ``None`` marks a residency-only
+        #: frame (see the class docstring).
+        self._frames: OrderedDict[int, Block | None] = OrderedDict()
         self._dirty: set[int] = set()
         self.stats = CacheStats()
         self.on_evict: Callable[[int], None] | None = None
@@ -184,10 +202,13 @@ class BufferPool:
         Returns a private copy by default (see class docstring);
         ``copy=False`` loans the live frame, read-only by convention.
         """
-        frame = self._frames.get(block_id)
-        if frame is not None:
+        frames = self._frames
+        if block_id in frames:
             self.stats.hits += 1
-            self._frames.move_to_end(block_id)
+            frames.move_to_end(block_id)
+            frame = frames[block_id]
+            if frame is None:
+                frame = frames[block_id] = self.disk.peek(block_id)
             return frame.copy() if copy else frame
         self.stats.misses += 1
         blk = self.disk.read(block_id)
@@ -213,35 +234,67 @@ class BufferPool:
             raise KeyError(f"block {block_id} not resident in cache")
         self._dirty.add(block_id)
 
-    def peek_frame(self, block_id: int) -> Block | None:
-        """The resident frame or ``None``, refreshing its LRU position.
+    def access(self, block_id: int) -> bool:
+        """One read of ``block_id`` through the pool's residency.
 
-        No hit/miss accounting — :class:`CachedDisk` uses this and does
-        its own counting against the charged-read contract.
+        A hit refreshes the frame's LRU position; a miss installs a
+        residency-only frame, evicting the LRU frame when full.  Counts
+        the hit or miss; charges nothing — the caller charges a miss's
+        read.  Returns whether it hit.
         """
-        frame = self._frames.get(block_id)
-        if frame is not None:
-            self._frames.move_to_end(block_id)
-        return frame
+        frames = self._frames
+        if block_id in frames:
+            frames.move_to_end(block_id)
+            self.stats.hits += 1
+            return True
+        self.stats.misses += 1
+        self._install(block_id, None)
+        return False
 
-    def install_clean(self, block_id: int, block: Block) -> None:
-        """Install ``block`` as a clean frame (no dirty mark, no accounting).
+    def access_sequence(self, block_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Replay reads of ``block_ids`` in order; return the hit mask.
 
-        Ownership transfers to the pool.  Replacing a resident frame
-        clears any dirty mark: the new contents are committed state.
+        Exactly ``[self.access(bid) for bid in block_ids]`` — the same
+        LRU moves, hit/miss/eviction counts and :attr:`on_evict` calls —
+        in one pass over plain ints: the LRU reference-string simulation
+        of Mattson et al. (1970).  The vectorised lookup paths use it to
+        label a whole walk of block ids at once.
         """
-        if block_id in self._frames:
-            self._frames[block_id] = block
-            self._frames.move_to_end(block_id)
-            self._dirty.discard(block_id)
-        else:
-            self._install(block_id, block)
+        ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else block_ids
+        frames = self._frames
+        move = frames.move_to_end
+        install = self._install
+        hits: list[int] = []
+        for i, bid in enumerate(ids):
+            if bid in frames:
+                move(bid)
+                hits.append(i)
+            else:
+                install(bid, None)
+        self.stats.hits += len(hits)
+        self.stats.misses += len(ids) - len(hits)
+        mask = np.zeros(len(ids), dtype=bool)
+        mask[hits] = True
+        return mask
 
-    def _install(self, block_id: int, block: Block) -> None:
+    def touch(self, block_id: int) -> bool:
+        """Is ``block_id`` resident?  A resident frame's LRU position is
+        refreshed.
+
+        No hit/miss accounting and no install: :class:`CachedDisk` tests
+        residency with it, does its own counting, and installs only on
+        the misses that should (loans and streaming reads never do).
+        """
+        frames = self._frames
+        if block_id in frames:
+            frames.move_to_end(block_id)
+            return True
+        return False
+
+    def _install(self, block_id: int, block: Block | None) -> None:
         while len(self._frames) >= self.capacity_blocks:
             self._evict_lru()
         self._frames[block_id] = block
-        self._frames.move_to_end(block_id)
 
     def _evict_lru(self) -> None:
         victim, blk = self._frames.popitem(last=False)
@@ -320,9 +373,16 @@ class CachedDisk(Disk):
 
     Constructed by :class:`~repro.em.storage.EMContext` when its
     ``cache_blocks`` axis is positive; ``disk.cache`` is the pool
-    (``None`` on a plain :class:`Disk`), which is how the batch engine's
-    vectorized bulk-charging branches detect a cached run and fall back
-    to the cache-aware scalar paths.
+    (``None`` on a plain :class:`Disk`).
+
+    A frame is an LRU residency entry plus a lazily built membership
+    memo; it never holds a copy of the block.  The write-invalidate rule
+    (see module docstring) keeps every resident block equal to its
+    committed backend state, so a whole-block hit reads the backend
+    uncharged, and a probe hit (``probe_record``/``remove_record``)
+    answers from the memo, a set of the block's records built on the
+    frame's first probe hit — not on every miss — and dropped with the
+    frame.
 
     Accounting contract (see module docstring): every read the uncached
     configuration would charge is either charged here (a **miss**) or
@@ -362,32 +422,38 @@ class CachedDisk(Disk):
         self.cache = BufferPool(
             self, cache_blocks, budget=budget, owner=cache_owner
         )
-        #: Record-membership index per resident frame: O(1) probe hits.
-        self._sets: dict[int, set[int]] = {}
+        #: Record-membership memo of resident frames that had a probe hit.
+        self._memo: dict[int, set[int]] = {}
         self.cache.on_evict = self._on_frame_drop
 
     def _on_frame_drop(self, block_id: int) -> None:
-        self._sets.pop(block_id, None)
+        self._memo.pop(block_id, None)
 
-    def _admit(self, block_id: int, block: Block) -> None:
-        """Install a clean frame (pool takes ownership of ``block``)."""
-        self._sets[block_id] = set(block)
-        self.cache.install_clean(block_id, block)
+    def _members(self, block_id: int) -> set[int]:
+        """The memo of a resident frame, built on its first probe hit."""
+        memo = self._memo.get(block_id)
+        if memo is None:
+            memo = self._memo[block_id] = set(self.backend.records(block_id))
+        return memo
 
     def _drop_frame(self, block_id: int) -> None:
         """Invalidate before a mutation; frames are clean, nothing writes back."""
         self.cache.invalidate(block_id, discard=True)
 
+    def _charge_stream(self, block_ids) -> None:
+        # Streaming reads refresh resident frames but never install.
+        touch = self.cache.touch
+        missed = [bid for bid in block_ids if not touch(bid)]
+        self.cache.stats.hits += len(block_ids) - len(missed)
+        self.cache.stats.misses += len(missed)
+        self.stats.record_reads(missed)
+
     # -- copying I/O ---------------------------------------------------------
 
     def read(self, block_id: int, *, copy: bool = True) -> Block:
-        frame = self.cache.peek_frame(block_id)
-        if frame is not None:
-            self.cache.stats.hits += 1
-            return frame.copy() if copy else frame
-        blk = super().read(block_id)
-        self.cache.stats.misses += 1
-        self._admit(block_id, blk)
+        blk = self._fetch(block_id)
+        if not self.cache.access(block_id):
+            self.stats.record_read(block_id)
         return blk.copy() if copy else blk
 
     def write(self, block_id: int, block: Block) -> None:
@@ -397,8 +463,7 @@ class CachedDisk(Disk):
     # -- copy-light I/O ------------------------------------------------------
 
     def load(self, block_id: int) -> Block:
-        frame = self.cache.peek_frame(block_id)
-        if frame is not None:
+        if self.cache.touch(block_id):
             # Hit: the charged read is avoided, but the caller needs the
             # live backend handle for the in-place store, so the frame is
             # dropped for the duration of the loan (invalidate-on-loan).
@@ -423,74 +488,35 @@ class CachedDisk(Disk):
         self._drop_frame(block_id)
         super().store(block_id, block)
 
-    # -- streaming bulk reads (count, never install) -------------------------
-
-    def scan(self, block_ids, visit=None):
-        pool = self.cache
-        fetch = self.backend.fetch
-        out: list[Block] = []
-        missed: list[int] = []
-        hits = 0
-        try:
-            for bid in block_ids:
-                frame = pool.peek_frame(bid)
-                if frame is not None:
-                    hits += 1
-                    out.append(frame)
-                else:
-                    missed.append(bid)
-                    out.append(fetch(bid))
-        except KeyError as exc:
-            raise InvalidBlockError(f"access to unknown block {exc.args[0]}") from None
-        pool.stats.hits += hits
-        pool.stats.misses += len(missed)
-        self.stats.record_reads(missed)
-        if visit is not None:
-            for bid, blk in zip(block_ids, out):
-                visit(bid, blk)
-        return out
-
-    def read_records(self, block_ids):
-        pool = self.cache
-        records = self.backend.records
-        out: list[int] = []
-        missed: list[int] = []
-        hits = 0
-        try:
-            for bid in block_ids:
-                frame = pool.peek_frame(bid)
-                if frame is not None:
-                    hits += 1
-                    out.extend(frame.records())
-                else:
-                    missed.append(bid)
-                    out.extend(records(bid))
-        except KeyError as exc:
-            raise InvalidBlockError(f"access to unknown block {exc.args[0]}") from None
-        pool.stats.hits += hits
-        pool.stats.misses += len(missed)
-        self.stats.record_reads(missed)
-        return out
-
     # -- record-level fast paths ---------------------------------------------
 
     def probe_record(self, block_id: int, key: int) -> bool:
-        if self.cache.peek_frame(block_id) is not None:
-            self.cache.stats.hits += 1
-            return key in self._sets[block_id]
-        backend = self.backend
-        if block_id not in backend:
-            raise InvalidBlockError(f"access to unknown block {block_id}")
-        self.cache.stats.misses += 1
-        self.stats.record_read(block_id)
-        blk = backend.fetch(block_id).copy()
-        self._admit(block_id, blk)
-        return key in self._sets[block_id]
+        pool = self.cache
+        if pool.touch(block_id):
+            pool.stats.hits += 1
+            return key in self._members(block_id)
+        found = super().probe_record(block_id, key)
+        pool.access(block_id)  # not resident: counts the miss, installs
+        return found
+
+    def charge_probes(self, block_ids: np.ndarray) -> None:
+        """Charge the reads of a :meth:`probe_record` walk without probing.
+
+        ``block_ids`` is the sequence of blocks a per-key probe loop
+        would visit, in order; the caller answers membership in bulk.
+        The walk is replayed through the pool
+        (:meth:`BufferPool.access_sequence`) and its misses are charged
+        in one bulk read, so counters, pool state and the pending
+        read-modify-write block end exactly where the per-id
+        :meth:`probe_record` calls would leave them.
+        """
+        hit = self.cache.access_sequence(block_ids)
+        self.stats.record_reads(block_ids[~hit])
 
     def remove_record(self, block_id: int, key: int) -> bool:
-        if self.cache.peek_frame(block_id) is not None:
+        if self.cache.touch(block_id):
             self.cache.stats.hits += 1
-            if key not in self._sets[block_id]:
+            if key not in self._members(block_id):
                 return False
             self._drop_frame(block_id)
             backend = self.backend

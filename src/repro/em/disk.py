@@ -294,7 +294,7 @@ class Disk:
             out = [fetch(bid) for bid in block_ids]
         except KeyError as exc:
             raise InvalidBlockError(f"access to unknown block {exc.args[0]}") from None
-        self.stats.record_reads(block_ids)
+        self._charge_stream(block_ids)
         if visit is not None:
             for bid, blk in zip(block_ids, out):
                 visit(bid, blk)
@@ -353,8 +353,13 @@ class Disk:
                 out.extend(records(bid))
         except KeyError as exc:
             raise InvalidBlockError(f"access to unknown block {exc.args[0]}") from None
-        self.stats.record_reads(block_ids)
+        self._charge_stream(block_ids)
         return out
+
+    def _charge_stream(self, block_ids: list[int]) -> None:
+        """Charge the reads of a streaming bulk read (:meth:`scan`,
+        :meth:`read_records`): one per block, in one bulk call."""
+        self.stats.record_reads(block_ids)
 
     # -- uncharged record-level API (batch-engine internals) -----------------
     #

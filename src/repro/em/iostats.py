@@ -113,12 +113,13 @@ class IOStats:
         immediately follows the final read still combines under the
         footnote-2 policy.  Bulk scans and merges use this so charging
         ``n`` I/Os does not cost ``n`` interpreter-level calls.
+        ``block_ids`` may be a list or an integer array.
         """
         n = len(block_ids)
         if n == 0:
             return
         self.reads += n
-        self._last_read_block = block_ids[-1]
+        self._last_read_block = int(block_ids[-1])
 
     def record_write(self, block_id: int, *, fresh: bool = False) -> None:
         """Charge a write of ``block_id``.

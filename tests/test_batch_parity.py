@@ -25,7 +25,15 @@ Two further axes ride on top since the pluggable-backend PR:
   N ∈ {1, 2, 8} shards obeys the full scalar/batch contract at every N
   and backend (per-shard strided disk namespaces make shard state
   interleaving-independent), and N = 1 is bit-transparent against the
-  bare inner table.
+  bare inner table;
+* **cached axis** — with a buffer pool attached (2 and 48 frames), the
+  batch paths must also leave every pool exactly where the cached
+  scalar loops leave it: hit/miss/eviction counts, the LRU resident
+  order, and the pending read-modify-write block (not for the sharded
+  router, see ``_cache_state``), after every ``lookup_batch``.  The
+  Theorem 2 and log-method tables answer cached
+  batches vectorised, replaying the scalar walk's block ids through the
+  pool, so this pins the replay order.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from repro.baselines.buffer_tree import BufferTree
 from repro.baselines.lsm import LSMTree
 from repro.core.buffered import BufferedHashTable
 from repro.core.logmethod import LogMethodHashTable
-from repro.em import PAPER_POLICY, STRICT_POLICY, make_context
+from repro.em import PAPER_POLICY, STRICT_POLICY, CachedDisk, make_context
 from repro.hashing.family import MULTIPLY_SHIFT
 from repro.tables import (
     ChainedHashTable,
@@ -162,10 +170,32 @@ def _assert_same(scalar_state, batch_state, label: str) -> None:
     assert scalar_state["high_water"] == batch_state["high_water"], label
 
 
-def _run_pair(factory, ctx_kwargs, policy, keys, probe, *, chunks: int):
+def _cache_state(ctx, table):
+    """Per pool: hits, misses, evictions and the LRU resident order; plus
+    the pending read-modify-write block.
+
+    The sharded router's pools are compared shard by shard, but not its
+    pending block: its shards share one ledger and it runs their groups
+    one after another, so when the batch's last key charges no read (an
+    in-memory or cache hit) it cannot tell which shard charged last.
+    """
+    contexts = getattr(table, "_contexts", None)
+    pools = [sub.disk.cache for sub in contexts or [ctx]]
+    return {
+        "pools": [
+            (pool.stats.hits, pool.stats.misses, pool.stats.evictions,
+             pool.resident())
+            for pool in pools
+        ],
+        "rmw": None if contexts else ctx.stats._last_read_block,
+    }
+
+
+def _run_pair(factory, ctx_kwargs, policy, keys, probe, *, chunks: int,
+              cache_blocks: int = 0):
     """Drive a scalar and a batch table identically; compare everything."""
-    ctx_s = make_context(policy=policy, **ctx_kwargs)
-    ctx_b = make_context(policy=policy, **ctx_kwargs)
+    ctx_s = make_context(policy=policy, cache_blocks=cache_blocks, **ctx_kwargs)
+    ctx_b = make_context(policy=policy, cache_blocks=cache_blocks, **ctx_kwargs)
     table_s = factory(ctx_s)
     table_b = factory(ctx_b)
 
@@ -180,6 +210,11 @@ def _run_pair(factory, ctx_kwargs, policy, keys, probe, *, chunks: int):
         r_b = table_b.lookup_batch(probe)
         assert r_s == r_b.tolist(), "lookup results diverge mid-build"
         assert isinstance(r_b, np.ndarray) and r_b.dtype == bool
+        if cache_blocks:
+            assert _cache_state(ctx_s, table_s) == _cache_state(ctx_b, table_b), (
+                "cached lookup_batch leaves the pool or the pending RMW "
+                "block where the scalar walk does not"
+            )
         # Deletes ride the same interleaving: a thin slice of this
         # chunk's keys (some doubly listed in dupe streams — the second
         # delete must miss) plus guaranteed misses, scalar vs batch.
@@ -189,6 +224,8 @@ def _run_pair(factory, ctx_kwargs, policy, keys, probe, *, chunks: int):
         assert d_s == d_b.tolist(), "delete results diverge mid-build"
         assert isinstance(d_b, np.ndarray) and d_b.dtype == bool
     _assert_same(_state(ctx_s, table_s), _state(ctx_b, table_b), "final")
+    if cache_blocks:
+        assert _cache_state(ctx_s, table_s) == _cache_state(ctx_b, table_b), "final"
     table_s.check_invariants()
     table_b.check_invariants()
 
@@ -222,6 +259,50 @@ def test_cramped_chains_parity(name, policy_name):
     # high-water mark is still compared for parity.
     cramped = dict(cramped, hard_memory=False)
     _run_pair(factory, cramped, POLICIES[policy_name], keys, probe, chunks=3)
+
+
+#: Tables whose cached ``lookup_batch`` replays a vectorised walk
+#: through the pool (the shared level-probe helper) instead of taking
+#: the per-key probes.
+REPLAYING = ("buffered", "logmethod", "sharded_buffered")
+
+
+@pytest.mark.parametrize("cache_blocks", [2, 48])
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_cached_batch_parity(name, policy_name, cache_blocks, monkeypatch):
+    """Cached batch vs cached scalar: the full contract plus the pool
+    state (counts, LRU order) and the pending RMW block after every
+    ``lookup_batch``; a 2-frame pool evicts on nearly every miss."""
+    calls = []
+    helper = LogMethodHashTable.probe_levels_batch
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.ctx.disk.cache is not None)
+        return helper(self, *args, **kwargs)
+
+    monkeypatch.setattr(LogMethodHashTable, "probe_levels_batch", spy)
+    factory, roomy, _ = TABLES[name]
+    keys, probe = _keys(seed=29, dupes=True)
+    _run_pair(factory, roomy, POLICIES[policy_name], keys, probe, chunks=3,
+              cache_blocks=cache_blocks)
+    if name in REPLAYING:
+        assert calls and all(calls), "the cached batch never took the replay"
+
+
+@pytest.mark.parametrize("name", ["buffered", "logmethod"])
+def test_cached_parity_catches_a_misordered_replay(name, monkeypatch):
+    """The cached parity check is sharp: replaying the right block ids
+    in the wrong order must fail it."""
+    charge = CachedDisk.charge_probes
+    monkeypatch.setattr(
+        CachedDisk, "charge_probes", lambda self, ids: charge(self, ids[::-1])
+    )
+    factory, roomy, _ = TABLES[name]
+    keys, probe = _keys(seed=29, dupes=True)
+    with pytest.raises(AssertionError, match="pending RMW"):
+        _run_pair(factory, roomy, PAPER_POLICY, keys, probe, chunks=3,
+                  cache_blocks=2)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

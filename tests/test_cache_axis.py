@@ -38,6 +38,7 @@ from repro.em import (
     CachedDisk,
     ConfigurationError,
     Disk,
+    InvalidBlockError,
     IOStats,
     PAPER_POLICY,
     STRICT_POLICY,
@@ -52,6 +53,7 @@ from repro.tables import (
     ShardedDictionary,
     make_sharded,
 )
+from repro.tables.overflow import ChainedBucket, bulk_merge_into
 
 N_KEYS = 1200
 N_PROBE = 400
@@ -264,6 +266,34 @@ class TestContextAxis:
 # -- CachedDisk unit behaviour ------------------------------------------------
 
 
+def _store_after_load(disk, bid):
+    disk.load(bid).append(99)
+    disk.store(bid)
+
+
+def _store_after_stage(disk, bid):
+    disk.stage(bid).replace_contents([99])
+    disk.store(bid)
+
+
+def _bulk_merge(disk, bid):
+    bulk_merge_into([ChainedBucket(disk, primary=bid)], [(0, [99])], disk)
+
+
+#: Each path that mutates a block holding ``[7]``, and the records it
+#: holds afterwards.
+MUTATIONS = {
+    "write": (lambda disk, bid: disk.write(bid, Block(4, data=[99])), [99]),
+    "load-store": (_store_after_load, [7, 99]),
+    "stage-store": (_store_after_stage, [99]),
+    "remove_record": (lambda disk, bid: disk.remove_record(bid, 7), []),
+    "append_uncharged": (lambda disk, bid: disk.append_uncharged(bid, [99]), [7, 99]),
+    "replace_uncharged": (lambda disk, bid: disk.replace_uncharged(bid, [99]), [99]),
+    "drain_uncharged": (lambda disk, bid: disk.drain_uncharged(bid), []),
+    "bulk_merge_into": (_bulk_merge, [7, 99]),
+}
+
+
 class TestCachedDisk:
     def _disk(self, policy=STRICT_POLICY, cache_blocks=4):
         return CachedDisk(4, cache_blocks=cache_blocks,
@@ -376,6 +406,66 @@ class TestCachedDisk:
         assert [b.records() for b in blocks] == [[i] for i in ids]
         assert disk.cache.stats.hits == 1
         assert disk.stats.reads == 4  # 1 install miss + 3 sweep misses
+
+    def test_charge_probes_equals_a_probe_loop(self):
+        """The vectorised lookups' bulk charge labels, evicts and leaves
+        the pending RMW block exactly like per-id ``probe_record``."""
+        refs = [0, 1, 2, 0, 3, 0, 4, 1, 1, 5, 2, 0, 5, 5, 3, 1]
+        disks = []
+        for _ in range(2):
+            disk = self._disk(policy=PAPER_POLICY, cache_blocks=3)
+            ids = self._fill(disk, 6)
+            disk.probe_record(ids[2], ids[2])  # a resident frame...
+            disk.probe_record(ids[2], ids[2])  # ...with a memo
+            disks.append((disk, [ids[i] for i in refs]))
+        (loop, seq), (bulk, _) = disks
+        for bid in seq:
+            loop.probe_record(bid, 0)
+        bulk.charge_probes(np.asarray(seq))
+        assert bulk.cache.stats == loop.cache.stats
+        assert bulk.cache.stats.evictions > 0
+        assert bulk.cache.resident() == loop.cache.resident()
+        assert bulk.stats.snapshot() == loop.stats.snapshot()
+        assert bulk.stats._last_read_block == loop.stats._last_read_block
+
+    def test_memo_built_on_first_probe_hit(self):
+        disk = self._disk(cache_blocks=2)
+        a, b, c = self._fill(disk, 3)
+        disk.probe_record(a, a)  # miss: installs a frame, no memo
+        assert disk.cache.is_resident(a) and a not in disk._memo
+        assert disk.probe_record(a, a)  # hit: builds the memo
+        assert disk._memo[a] == {a}
+        disk.probe_record(b, b)
+        disk.probe_record(c, c)  # evicts a: its memo goes with it
+        assert not disk.cache.is_resident(a) and a not in disk._memo
+
+    @pytest.mark.parametrize("path", sorted(MUTATIONS))
+    def test_no_stale_memo(self, path):
+        """After any mutation of a memoised block, probes answer from the
+        new contents: the miss that re-installs it and the hit after."""
+        mutate, expected = MUTATIONS[path]
+        disk = self._disk(policy=PAPER_POLICY)
+        bid = disk.allocate()
+        disk.write(bid, Block(4, data=[7]))
+        disk.probe_record(bid, 7)
+        assert disk.probe_record(bid, 7) and bid in disk._memo
+        mutate(disk, bid)
+        hits = disk.cache.stats.hits
+        for _ in range(2):
+            for key in (7, 99):
+                assert disk.probe_record(bid, key) == (key in expected), key
+        assert disk.cache.stats.hits > hits  # the memo was rebuilt and used
+        assert disk._memo[bid] == set(expected)
+
+    def test_free_drops_the_memo(self):
+        disk = self._disk()
+        (bid,) = self._fill(disk, 1)
+        disk.probe_record(bid, bid)
+        assert disk.probe_record(bid, bid)
+        disk.free(bid)
+        assert bid not in disk._memo and not disk.cache.is_resident(bid)
+        with pytest.raises(InvalidBlockError):
+            disk.probe_record(bid, bid)
 
 
 # -- shards and the service ledger -------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for the LRU BufferPool."""
 
+import numpy as np
 import pytest
 
 from repro.em import (
@@ -260,3 +261,63 @@ class TestOnEvictHook:
             pool.get(bid)
         pool.clear()
         assert sorted(dropped) == sorted(ids)
+
+
+class TestAccessSequence:
+    """``access_sequence`` is a loop of per-id reads, replayed over ints."""
+
+    #: Repeated ids, back-to-back repeats, and far more references than
+    #: the pool's 3 frames.
+    REFS = [0, 1, 2, 0, 3, 0, 4, 1, 1, 5, 2, 0, 5, 5, 3, 6, 0, 1, 6, 2]
+
+    def _pool(self, n=7, capacity=3):
+        disk = Disk(4, stats=IOStats(policy=STRICT_POLICY))
+        ids = fill(disk, n)
+        pool = BufferPool(disk, capacity)
+        dropped: list[int] = []
+        pool.on_evict = dropped.append
+        return pool, ids, dropped
+
+    def test_matches_a_loop_of_gets(self):
+        loop, ids, loop_dropped = self._pool()
+        replay, _, replay_dropped = self._pool()
+        seq = [ids[i] for i in self.REFS]
+        expected = []
+        for bid in seq:
+            hits = loop.stats.hits
+            loop.get(bid)
+            expected.append(loop.stats.hits > hits)
+        mask = replay.access_sequence(seq)
+        # The replay charges nothing; its caller charges the misses.
+        assert replay.disk.stats.reads == 0
+        replay.disk.stats.record_reads([b for b, h in zip(seq, mask) if not h])
+        assert mask.tolist() == expected
+        assert replay.stats == loop.stats
+        assert replay.stats.evictions > 0
+        assert replay.resident() == loop.resident()
+        assert replay_dropped == loop_dropped
+        assert replay.disk.stats.snapshot() == loop.disk.stats.snapshot()
+        assert replay.disk.stats._last_read_block == loop.disk.stats._last_read_block
+
+    def test_matches_a_loop_of_access(self):
+        loop, ids, loop_dropped = self._pool()
+        replay, _, replay_dropped = self._pool()
+        seq = np.asarray([ids[i] for i in self.REFS], dtype=np.int64)
+        expected = [loop.access(bid) for bid in seq.tolist()]
+        assert replay.access_sequence(seq).tolist() == expected
+        assert replay.stats == loop.stats
+        assert replay.resident() == loop.resident()
+        assert replay_dropped == loop_dropped
+
+    def test_empty_sequence(self):
+        pool, _, dropped = self._pool()
+        assert pool.access_sequence([]).tolist() == []
+        assert pool.stats == pool.stats.__class__() and dropped == []
+
+    def test_residency_only_frame_serves_get(self):
+        """A replayed frame holds no block; ``get`` reads it uncharged."""
+        pool, ids, _ = self._pool()
+        pool.access_sequence([ids[0]])
+        assert pool.get(ids[0]).records() == [ids[0]]
+        assert pool.stats.hits == 1 and pool.disk.stats.reads == 0
+        assert pool.get(ids[0], copy=False) is pool.get(ids[0], copy=False)
