@@ -41,11 +41,13 @@ test-fast:
 
 ## Crash-consistency only: the chaos matrix (crash at every epoch
 ## boundary + sampled intra-epoch backend ops, per policy x backend,
-## small n), journal format/torn-tail scans, snapshot/restore, and the
-## fault-injection/retry layer.  Also part of `make test`.
+## small n), journal format/torn-tail scans, snapshot/restore, the
+## fault-injection/retry layer, and the fault messages a service surfaces.
+## Also part of `make test`.
 chaos-test:
 	$(PY) -m pytest tests/test_recovery.py tests/test_faults.py \
-	    tests/test_journal.py tests/test_durable_backend.py -q
+	    tests/test_journal.py tests/test_durable_backend.py \
+	    tests/test_em_errors.py -q
 
 ## Overload resilience only: seeded arrival processes, the admission
 ## queue + reject/shed/adapt policies, per-op deadlines, per-shard

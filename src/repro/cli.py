@@ -317,8 +317,8 @@ def _obs(args) -> ObsConfig | None:
     return ObsConfig(trace_path=args.trace, metrics_every=args.metrics_every)
 
 
-def _validate_serve(args) -> str | None:
-    """Reject malformed service inputs with a message, not a traceback."""
+def _validate_stream(args) -> str | None:
+    """The ``--mix`` and ``--epoch-ops`` checks ``serve`` and ``slo`` share."""
     mix_sum = sum(args.mix)
     if any(w < 0 for w in args.mix):
         return f"--mix weights must be non-negative, got {args.mix}"
@@ -326,6 +326,11 @@ def _validate_serve(args) -> str | None:
         return f"--mix must sum to 1.0, got {args.mix} (sum {mix_sum:.6g})"
     if args.epoch_ops <= 0:
         return f"--epoch-ops must be positive, got {args.epoch_ops}"
+    return None
+
+
+def _validate_serve(args) -> str | None:
+    """The ``serve`` checks no config class makes (shards already valid)."""
     if args.window <= 0:
         return f"--window must be positive, got {args.window}"
     if args.key_dist == "zipf" and not args.zipf_theta > 1.0:
@@ -337,11 +342,6 @@ def _validate_serve(args) -> str | None:
             f"--slots must be a positive multiple of --shards "
             f"(got slots={args.slots}, shards={args.shards})"
         )
-    try:
-        _traffic(args)
-        _obs(args)
-    except ConfigurationError as exc:
-        return str(exc)
     return None
 
 
@@ -356,16 +356,17 @@ def cmd_serve(args) -> int:
     )
     from .workloads.trace import BulkMixedWorkload
 
-    error = _validate_serve(args)
+    # Config classes raise ConfigurationError (exit 2 in main()) before
+    # the journal file opens or the workload is generated.
+    storage, traffic, obs = _storage(args), _traffic(args), _obs(args)
+    error = _validate_stream(args) or _validate_serve(args)
     if error is not None:
         print(f"serve: {error}", file=sys.stderr)
         return 2
-    traffic = _traffic(args)
     factories = _base_factories(args)
     if args.table not in factories:
         print(f"unknown table {args.table!r}; choose from {sorted(factories)}")
         return 2
-    storage = _storage(args)
     ctx = make_context(
         b=args.b, m=args.m, u=2**40, backend=storage.backend,
         cache_blocks=storage.cache_blocks,
@@ -387,7 +388,7 @@ def cmd_serve(args) -> int:
         journal=journal,
         slots=args.slots,
         rebalance=args.rebalance or None,
-        obs=_obs(args),
+        obs=obs,
     ) as svc:
         if args.metrics_every:
             def _dump(epoch: int, registry) -> None:
@@ -498,13 +499,6 @@ def cmd_trace_summary(args) -> int:
 
 
 def _validate_slo(args) -> str | None:
-    mix_sum = sum(args.mix)
-    if any(w < 0 for w in args.mix):
-        return f"--mix weights must be non-negative, got {args.mix}"
-    if abs(mix_sum - 1.0) > 1e-6:
-        return f"--mix must sum to 1.0, got {args.mix} (sum {mix_sum:.6g})"
-    if args.epoch_ops <= 0:
-        return f"--epoch-ops must be positive, got {args.epoch_ops}"
     if not args.loads or any(not f > 0 for f in args.loads):
         return f"--loads factors must be positive, got {args.loads}"
     if args.queue_depth is not None and args.queue_depth <= 0:
@@ -513,8 +507,6 @@ def _validate_slo(args) -> str | None:
         return f"--deadline must be positive, got {args.deadline}"
     if not args.slo_ms > 0:
         return f"--slo-ms must be positive, got {args.slo_ms}"
-    if args.shed_policy not in OVERLOAD_POLICIES:
-        return f"--shed-policy must be one of {OVERLOAD_POLICIES}"
     return None
 
 
@@ -529,7 +521,8 @@ def cmd_slo(args) -> int:
     )
     from .workloads.trace import BulkMixedWorkload
 
-    error = _validate_slo(args)
+    storage = _storage(args)
+    error = _validate_stream(args) or _validate_slo(args)
     if error is not None:
         print(f"slo: {error}", file=sys.stderr)
         return 2
@@ -537,7 +530,6 @@ def cmd_slo(args) -> int:
     if args.table not in factories:
         print(f"unknown table {args.table!r}; choose from {sorted(factories)}")
         return 2
-    storage = _storage(args)
 
     def make_service():
         ctx = make_context(
@@ -787,7 +779,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -67,45 +67,6 @@ class StorageConfig:
 
 
 @dataclass(frozen=True)
-class DurabilityConfig:
-    """Knobs of the service durability subsystem (journal + recovery).
-
-    Attributes
-    ----------
-    journal_path:
-        Where the epoch write-ahead journal lives (``None`` disables
-        journaling).
-    snapshot_path:
-        Where :func:`repro.service.recovery.snapshot_service` writes
-        its checkpoint (``None`` disables snapshotting).
-    fsync:
-        Whether the journal fsyncs every record — the durability
-        guarantee; disable only to measure pure encoding overhead.
-    max_retries:
-        Bounded retry budget for transient storage faults
-        (:class:`repro.service.faults.RetryingBackend`).
-    backoff_s:
-        Base of the exponential retry backoff, in seconds.
-    """
-
-    journal_path: str | None = None
-    snapshot_path: str | None = None
-    fsync: bool = True
-    max_retries: int = 4
-    backoff_s: float = 0.0005
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
-        if self.backoff_s < 0:
-            raise ConfigurationError(
-                f"backoff_s must be non-negative, got {self.backoff_s}"
-            )
-
-
-@dataclass(frozen=True)
 class RebalanceConfig:
     """Knobs of the skew-adaptive slot rebalancer.
 

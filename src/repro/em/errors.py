@@ -26,10 +26,6 @@ class InvalidBlockError(EMError):
     """Raised when a block id is malformed or refers to a freed block."""
 
 
-class FrozenBlockError(EMError):
-    """Raised when code mutates a block snapshot that was handed out read-only."""
-
-
 class ConfigurationError(EMError):
     """Raised for invalid model parameters (``b``, ``m``, ``u`` ...)."""
 

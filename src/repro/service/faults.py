@@ -19,6 +19,10 @@ schedules so every failure is exactly reproducible:
   a scheduled epoch's append (leaving a torn record) or commit (epoch
   executed but never marked durable).
 
+The two backend decorators share :class:`BackendDecorator`, which sends
+the nine data-path primitives through one ``_guard`` hook and passes the
+rest of the protocol straight through.
+
 :func:`run_crash_matrix` composes them into the chaos harness: one
 uninterrupted golden run, then one crash-and-recover run per crash
 point (every epoch's append and commit boundary plus sampled
@@ -29,13 +33,14 @@ per-shard and cluster ledgers, sizes, and memory peaks.
 
 from __future__ import annotations
 
+import abc
 import contextlib
 import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -134,18 +139,115 @@ class FaultSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Fault-injecting backend decorator
+# Backend decorators
 # ---------------------------------------------------------------------------
 
 
-class FaultInjectingBackend(StorageBackend):
-    """Injects scheduled faults into another backend's primitives.
+class BackendDecorator(StorageBackend):
+    """Wraps another backend; every data-path primitive runs through one hook.
 
-    Read-faultable primitives: ``fetch``, ``records``, ``records_arr``,
-    ``contains_key``.  Write-faultable: ``commit``, ``append``,
-    ``replace``, ``drain``, ``remove_key``.  Metadata/lifecycle calls
-    (``create``, ``delete``, ``length`` ...) pass through untouched —
-    faults model the data path, not the allocator.
+    The nine data-path primitives — reads ``fetch``, ``records``,
+    ``records_arr``, ``contains_key``; writes ``commit``, ``append``,
+    ``replace``, ``drain``, ``remove_key`` — hand :meth:`_guard` their
+    kind, block id and the inner call.  Lifecycle and introspection
+    calls (``create``, ``delete``, ``length`` ...) pass straight
+    through: faults model the data path, not the allocator.
+    """
+
+    def __init__(self, inner: StorageBackend) -> None:
+        super().__init__(inner.b, inner.record_words)
+        self.inner = inner
+
+    @abc.abstractmethod
+    def _guard(self, kind: str, block_id: int, call: Callable[[], object], torn=None):
+        """Run ``call`` (a ``"read"`` or ``"write"`` of ``block_id``).
+
+        ``torn`` is set for multi-record ``append``/``replace``: it lands
+        half the records, which is what a crash mid-write leaves behind.
+        """
+
+    # -- data path -----------------------------------------------------------
+
+    def fetch(self, block_id: int) -> Block:
+        return self._guard("read", block_id, lambda: self.inner.fetch(block_id))
+
+    def records(self, block_id: int) -> list[int]:
+        return self._guard("read", block_id, lambda: self.inner.records(block_id))
+
+    def records_arr(self, block_id: int) -> np.ndarray:
+        return self._guard("read", block_id, lambda: self.inner.records_arr(block_id))
+
+    def contains_key(self, block_id: int, key: int) -> bool:
+        return self._guard(
+            "read", block_id, lambda: self.inner.contains_key(block_id, key)
+        )
+
+    def commit(self, block_id: int, block: Block, *, copy: bool = False) -> None:
+        self._guard(
+            "write", block_id, lambda: self.inner.commit(block_id, block, copy=copy)
+        )
+
+    def append(self, block_id: int, items: list[int]) -> None:
+        self._write_records(self.inner.append, block_id, items)
+
+    def replace(self, block_id: int, items: list[int]) -> None:
+        self._write_records(self.inner.replace, block_id, items)
+
+    def drain(self, block_id: int) -> list[int]:
+        return self._guard("write", block_id, lambda: self.inner.drain(block_id))
+
+    def remove_key(self, block_id: int, key: int) -> bool:
+        return self._guard(
+            "write", block_id, lambda: self.inner.remove_key(block_id, key)
+        )
+
+    def _write_records(self, write, block_id: int, items: list[int]) -> None:
+        torn = None
+        if len(items) > 1:
+            # A crash mid-write lands only the first half of the records.
+            torn = lambda: write(block_id, items[: len(items) // 2])
+        self._guard("write", block_id, lambda: write(block_id, items), torn)
+
+    # -- untouched pass-through ----------------------------------------------
+
+    def create(self, block_id: int, *, record_words: int | None = None) -> None:
+        self.inner.create(block_id, record_words=record_words)
+
+    def create_many(self, block_ids, *, record_words: int | None = None) -> None:
+        self.inner.create_many(block_ids, record_words=record_words)
+
+    def delete(self, block_id: int) -> None:
+        self.inner.delete(block_id)
+
+    def __contains__(self, block_id: int) -> bool:
+        return block_id in self.inner
+
+    def length(self, block_id: int) -> int:
+        return self.inner.length(block_id)
+
+    def is_fresh(self, block_id: int) -> bool:
+        return self.inner.is_fresh(block_id)
+
+    def ids(self) -> list[int]:
+        return self.inner.ids()
+
+    def count(self) -> int:
+        return self.inner.count()
+
+    def nonempty(self) -> int:
+        return self.inner.nonempty()
+
+    def words_stored(self) -> int:
+        return self.inner.words_stored()
+
+
+class FaultInjectingBackend(BackendDecorator):
+    """Injects scheduled faults into another backend's data path.
+
+    Every data-path primitive ticks the shared :class:`FaultClock` once
+    with its kind; the schedule decides whether that op raises a
+    transient :class:`~repro.em.errors.StorageFault` or the hard
+    :class:`~repro.em.errors.SimulatedCrash`.
     """
 
     name = "fault-injecting"
@@ -158,15 +260,14 @@ class FaultInjectingBackend(StorageBackend):
         schedule: FaultSchedule | None = None,
         trace: list[str] | None = None,
     ) -> None:
-        super().__init__(inner.b, inner.record_words)
-        self.inner = inner
+        super().__init__(inner)
         self.clock = clock if clock is not None else FaultClock()
         self.schedule = schedule if schedule is not None else FaultSchedule()
         self.trace = trace
         self.injected = 0
         self._pending = {"read": 0, "write": 0}
 
-    def _tick(self, kind: str, block_id: int, torn=None) -> None:
+    def _guard(self, kind, block_id, call, torn=None):
         op = self.clock.tick()
         if self.trace is not None:
             # op indices start at 1, so trace[op - 1] is this op's kind;
@@ -193,89 +294,7 @@ class FaultInjectingBackend(StorageBackend):
             raise StorageFault(
                 f"injected transient {kind} fault on block {block_id} (op {op})"
             )
-
-    # -- read-faultable -------------------------------------------------------
-
-    def fetch(self, block_id: int) -> Block:
-        self._tick("read", block_id)
-        return self.inner.fetch(block_id)
-
-    def records(self, block_id: int) -> list[int]:
-        self._tick("read", block_id)
-        return self.inner.records(block_id)
-
-    def records_arr(self, block_id: int) -> np.ndarray:
-        self._tick("read", block_id)
-        return self.inner.records_arr(block_id)
-
-    def contains_key(self, block_id: int, key: int) -> bool:
-        self._tick("read", block_id)
-        return self.inner.contains_key(block_id, key)
-
-    # -- write-faultable ------------------------------------------------------
-
-    def commit(self, block_id: int, block: Block, *, copy: bool = False) -> None:
-        self._tick("write", block_id)
-        self.inner.commit(block_id, block, copy=copy)
-
-    def append(self, block_id: int, items: list[int]) -> None:
-        torn = None
-        if len(items) > 1:
-            torn = lambda: self.inner.append(block_id, items[: len(items) // 2])
-        self._tick("write", block_id, torn=torn)
-        self.inner.append(block_id, items)
-
-    def replace(self, block_id: int, items: list[int]) -> None:
-        torn = None
-        if len(items) > 1:
-            torn = lambda: self.inner.replace(block_id, items[: len(items) // 2])
-        self._tick("write", block_id, torn=torn)
-        self.inner.replace(block_id, items)
-
-    def drain(self, block_id: int) -> list[int]:
-        self._tick("write", block_id)
-        return self.inner.drain(block_id)
-
-    def remove_key(self, block_id: int, key: int) -> bool:
-        self._tick("write", block_id)
-        return self.inner.remove_key(block_id, key)
-
-    # -- untouched pass-through ----------------------------------------------
-
-    def create(self, block_id: int, *, record_words: int | None = None) -> None:
-        self.inner.create(block_id, record_words=record_words)
-
-    def create_many(self, block_ids, *, record_words: int | None = None) -> None:
-        self.inner.create_many(block_ids, record_words=record_words)
-
-    def delete(self, block_id: int) -> None:
-        self.inner.delete(block_id)
-
-    def __contains__(self, block_id: int) -> bool:
-        return block_id in self.inner
-
-    def length(self, block_id: int) -> int:
-        return self.inner.length(block_id)
-
-    def is_fresh(self, block_id: int) -> bool:
-        return self.inner.is_fresh(block_id)
-
-    def ids(self) -> list[int]:
-        return self.inner.ids()
-
-    def count(self) -> int:
-        return self.inner.count()
-
-    def nonempty(self) -> int:
-        return self.inner.nonempty()
-
-    def words_stored(self) -> int:
-        return self.inner.words_stored()
-
-
-# ---------------------------------------------------------------------------
-# Retry-with-backoff decorator
-# ---------------------------------------------------------------------------
+        return call()
 
 
 @dataclass(frozen=True)
@@ -291,7 +310,7 @@ class RetryPolicy:
         return min(self.backoff_s * (2 ** (attempt - 1)), self.max_backoff_s)
 
 
-class RetryingBackend(StorageBackend):
+class RetryingBackend(BackendDecorator):
     """Heals transient :class:`StorageFault`\\ s with bounded retries.
 
     Sits between the disk and a (possibly faulty) inner backend.  The
@@ -312,19 +331,18 @@ class RetryingBackend(StorageBackend):
         policy: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        super().__init__(inner.b, inner.record_words)
-        self.inner = inner
+        super().__init__(inner)
         self.policy = policy if policy is not None else RetryPolicy()
         self._sleep = sleep
         self.retries = 0
         self.total_backoff_s = 0.0
 
-    def _call(self, block_id: int, fn, *args, **kwargs):
+    def _guard(self, kind, block_id, call, torn=None):
         policy = self.policy
         last: StorageFault | None = None
         for attempt in range(policy.max_retries + 1):
             try:
-                return fn(*args, **kwargs)
+                return call()
             except RetryExhausted:
                 raise
             except StorageFault as exc:
@@ -339,65 +357,6 @@ class RetryingBackend(StorageBackend):
         raise RetryExhausted(
             f"block {block_id}: gave up after {policy.max_retries} retries: {last}"
         ) from last
-
-    def fetch(self, block_id: int) -> Block:
-        return self._call(block_id, self.inner.fetch, block_id)
-
-    def records(self, block_id: int) -> list[int]:
-        return self._call(block_id, self.inner.records, block_id)
-
-    def records_arr(self, block_id: int) -> np.ndarray:
-        return self._call(block_id, self.inner.records_arr, block_id)
-
-    def contains_key(self, block_id: int, key: int) -> bool:
-        return self._call(block_id, self.inner.contains_key, block_id, key)
-
-    def commit(self, block_id: int, block: Block, *, copy: bool = False) -> None:
-        return self._call(block_id, self.inner.commit, block_id, block, copy=copy)
-
-    def append(self, block_id: int, items: list[int]) -> None:
-        return self._call(block_id, self.inner.append, block_id, items)
-
-    def replace(self, block_id: int, items: list[int]) -> None:
-        return self._call(block_id, self.inner.replace, block_id, items)
-
-    def drain(self, block_id: int) -> list[int]:
-        return self._call(block_id, self.inner.drain, block_id)
-
-    def remove_key(self, block_id: int, key: int) -> bool:
-        return self._call(block_id, self.inner.remove_key, block_id, key)
-
-    # -- untouched pass-through ----------------------------------------------
-
-    def create(self, block_id: int, *, record_words: int | None = None) -> None:
-        self.inner.create(block_id, record_words=record_words)
-
-    def create_many(self, block_ids, *, record_words: int | None = None) -> None:
-        self.inner.create_many(block_ids, record_words=record_words)
-
-    def delete(self, block_id: int) -> None:
-        self.inner.delete(block_id)
-
-    def __contains__(self, block_id: int) -> bool:
-        return block_id in self.inner
-
-    def length(self, block_id: int) -> int:
-        return self.inner.length(block_id)
-
-    def is_fresh(self, block_id: int) -> bool:
-        return self.inner.is_fresh(block_id)
-
-    def ids(self) -> list[int]:
-        return self.inner.ids()
-
-    def count(self) -> int:
-        return self.inner.count()
-
-    def nonempty(self) -> int:
-        return self.inner.nonempty()
-
-    def words_stored(self) -> int:
-        return self.inner.words_stored()
 
 
 # ---------------------------------------------------------------------------

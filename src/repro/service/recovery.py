@@ -125,16 +125,12 @@ def restore_service(
     svc._contexts = state["contexts"]
     svc._tables = state["tables"]
     svc.ledger = state["ledger"]
-    # Snapshots are taken at epoch boundaries, where the last merge left
-    # marks equal to the live per-shard counters — so fresh snapshots
-    # reproduce the marks exactly.
-    svc._marks = [sub.stats.snapshot() for sub in svc._contexts]
     # Older snapshots predate the cache ledger; restore them uncached.
     svc.cache = state.get("cache", CacheStats())
-    svc._cache_marks = [
-        (cs.snapshot() if cs is not None else None)
-        for cs in (sub.cache_stats() for sub in svc._contexts)
-    ]
+    # Snapshots are taken at epoch boundaries, where the last merge left
+    # marks equal to the live per-shard counters — so fresh marks
+    # reproduce them exactly.
+    svc._marks = svc._ledger_marks()
     svc.epochs_run = state["epochs_run"]
     svc.journal = None
     svc.ops_committed = state["ops_committed"]

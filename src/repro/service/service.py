@@ -19,12 +19,15 @@ shard a fully private machine: its own strided-namespace
 whose shards share the parent ledger and would interleave
 nondeterministically under threads).  A shard's charges depend only on
 its own program-order request subsequence, so per-shard ledgers, disks,
-layouts and memory peaks are bit-identical whatever the executor; at
-epoch close the service folds each shard's ledger delta into a cluster
-:attr:`~DictionaryService.ledger` in ascending shard order — pure
-counter addition, so the merged totals are executor-invariant too.  The
-determinism suite (``tests/test_service.py``) pins serial-vs-threads
-equality of all of it.
+layouts and memory peaks are bit-identical whatever the executor.  At
+epoch close one loop walks the shards in ascending order and folds each
+shard's I/O and cache deltas since its last ``(IOSnapshot, CacheStats)``
+mark into the cluster :attr:`~DictionaryService.ledger` and
+:attr:`~DictionaryService.cache` — pure counter addition, so the merged
+totals are executor-invariant too; the cluster metric counters take the
+cluster ledgers' own before/after difference.  The determinism suite
+(``tests/test_service.py``) pins serial-vs-threads equality of all of
+it.
 
 Within an epoch each shard executes its batches in the fixed kind order
 **insert → delete → lookup**; the epoch builder guarantees no key
@@ -52,7 +55,14 @@ from ..obs import MetricsRegistry, TraceRecorder
 from ..tables.base import ExternalDictionary, LayoutSnapshot, TableStats
 from ..tables.batching import partition_positions
 from ..tables.rebalance import Rebalancer, SlotMove, apply_moves
-from ..tables.sharded import ShardFactory, SlotDirectory, _ROUTER_SEED, shard_view
+from ..tables.sharded import (
+    _ROUTER_SEED,
+    ShardFactory,
+    SlotDirectory,
+    shard_view,
+    sum_table_stats,
+    union_layout,
+)
 from ..workloads.trace import OP_DELETE, OP_INSERT, OP_LOOKUP, Op, encode_ops
 from .epochs import Epoch, build_epochs
 from .journal import EpochJournal
@@ -314,13 +324,7 @@ class DictionaryService:
         #: per-shard buffer-pool deltas are folded in alongside the I/O
         #: ledger at epoch close.
         self.cache = CacheStats()
-        self._marks: list[IOSnapshot] = [
-            sub.stats.snapshot() for sub in self._contexts
-        ]
-        self._cache_marks: list[CacheStats | None] = [
-            (cs.snapshot() if cs is not None else None)
-            for cs in (sub.cache_stats() for sub in self._contexts)
-        ]
+        self._marks = self._ledger_marks()
         #: Always-on cluster metrics; fed the same ledger deltas the
         #: epoch-close merge folds, so it is executor-invariant and
         #: rides the snapshot/restore path.  See :meth:`metrics`.
@@ -623,53 +627,60 @@ class DictionaryService:
             for shard, group in partition_positions(idx)
         ]
 
+    def _ledger_marks(self) -> list[tuple[IOSnapshot, CacheStats | None]]:
+        """Every shard's ``(I/O, cache)`` counters now, shard order.
+
+        The cache mark is ``None`` for an uncached shard.
+        """
+        marks = []
+        for sub in self._contexts:
+            cache = sub.cache_stats()
+            marks.append(
+                (sub.stats.snapshot(), cache.snapshot() if cache is not None else None)
+            )
+        return marks
+
     def _merge_ledgers(self) -> int:
         """Fold per-shard ledger deltas into the cluster ledgers.
 
-        Ascending shard order; returns the epoch's charged I/O total.
-        Cache deltas (cached clusters only) merge alongside the I/O
-        counters so ``hits + misses`` stays aligned with the reads the
-        same epochs charged.
+        One loop in ascending shard order absorbs each shard's I/O and
+        cache delta since its last mark, so ``hits + misses`` stays
+        aligned with the reads the same epochs charged.  The cluster
+        metric counters take the cluster ledgers' own before/after
+        difference.  Returns the merged charged I/O total.
         """
-        total = 0
-        per_shard = []
+        io_before = self.ledger.snapshot()
+        cache_before = self.cache.snapshot()
+        marks = self._ledger_marks()
         deltas: list[IOSnapshot] = []
-        cache_delta = CacheStats()
         metrics = self._metrics
-        for i, sub in enumerate(self._contexts):
-            delta = sub.stats.delta_since(self._marks[i])
-            self._marks[i] = sub.stats.snapshot()
+        for i, ((io_mark, cache_mark), (io_now, cache_now)) in enumerate(
+            zip(self._marks, marks)
+        ):
+            delta = io_now - io_mark
             self.ledger.absorb(delta)
-            per_shard.append(delta.total)
             deltas.append(delta)
-            total += delta.total
             if delta.total:
                 metrics.inc("repro_shard_io_total", delta.total, shard=str(i))
-            mark = self._cache_marks[i]
-            if mark is not None:
-                shard_cache = sub.cache_stats()
-                d = shard_cache.delta_since(mark)
-                self.cache.absorb(d)
-                cache_delta.absorb(d)
-                self._cache_marks[i] = shard_cache.snapshot()
-        metrics.inc("repro_io_reads_total", sum(d.reads for d in deltas))
-        metrics.inc("repro_io_writes_total", sum(d.writes for d in deltas))
-        metrics.inc("repro_io_combined_total", sum(d.combined for d in deltas))
-        metrics.inc(
-            "repro_io_allocations_total", sum(d.allocations for d in deltas)
-        )
+            if cache_mark is not None:
+                self.cache.absorb(cache_now.delta_since(cache_mark))
+        self._marks = marks
+        io = self.ledger.delta_since(io_before)
+        cache_delta = self.cache.delta_since(cache_before)
+        for field, value in io.as_dict().items():
+            metrics.inc(f"repro_io_{field}_total", value)
         for field, value in cache_delta.as_dict().items():
             metrics.inc(f"repro_cache_{field}_total", value)
         # The per-shard split of the merge just folded — the epoch-close
         # load sample _maybe_rebalance observes.  Migration drains merge
         # through here too, so their charges never pollute the next
         # epoch's sample (they are read before the migration merges).
-        self._last_epoch_shard_io = per_shard
+        self._last_epoch_shard_io = [d.total for d in deltas]
         # Full per-shard deltas + the cache delta of the same merge, for
         # the trace's epoch span (relabelling: read, never re-charged).
         self._last_epoch_shard_deltas = deltas
         self._last_cache_delta = cache_delta
-        return total
+        return io.total
 
     # -- observability -------------------------------------------------------
 
@@ -858,18 +869,7 @@ class DictionaryService:
     @property
     def stats(self) -> TableStats:
         """Aggregated operation counters over all shard tables."""
-        agg = TableStats()
-        for table in self._tables:
-            s = table.stats
-            agg.inserts += s.inserts
-            agg.lookups += s.lookups
-            agg.hits += s.hits
-            agg.deletes += s.deletes
-            agg.rebuilds += s.rebuilds
-            agg.merges += s.merges
-            for k, v in s.extra.items():
-                agg.extra[k] = agg.extra.get(k, 0) + v
-        return agg
+        return sum_table_stats(self._tables)
 
     def io_snapshot(self) -> IOSnapshot:
         """Cluster I/O counters (merged ledger) as of the last epoch close."""
@@ -899,34 +899,7 @@ class DictionaryService:
 
     def layout_snapshot(self) -> LayoutSnapshot:
         """Union of the (disjoint) shard snapshots, routed by shard."""
-        snaps = [table.layout_snapshot() for table in self._tables]
-        blocks: dict[int, tuple[int, ...]] = {}
-        memory_items: frozenset[int] = frozenset()
-        for snap in snaps:
-            blocks.update(snap.blocks)
-            memory_items |= snap.memory_items
-        addresses = [snap.address for snap in snaps]
-        directory = self.directory
-        shards = self.shards
-
-        def address(key: int) -> int | None:
-            if shards == 1:
-                return addresses[0](key)
-            return addresses[directory.shard_of(key)](key)
-
-        # Static map: router seed + shard count (2 words, as ever).  A
-        # migrated map must be written down slot by slot — the honest
-        # description cost of adaptivity.
-        route_words = 2 if directory.is_static() else 2 + directory.slots
-        return LayoutSnapshot(
-            memory_items=memory_items,
-            blocks=blocks,
-            address=address,
-            address_description_words=sum(
-                snap.address_description_words for snap in snaps
-            )
-            + route_words,
-        )
+        return union_layout(self._tables, self.directory)
 
     def __len__(self) -> int:
         return sum(len(table) for table in self._tables)

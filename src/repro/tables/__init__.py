@@ -8,7 +8,7 @@
 * :class:`~repro.tables.linear_hashing.LinearHashingTable` — Litwin [14].
 """
 
-from .base import ExternalDictionary, LayoutSnapshot, TableStats, iter_blocks_items
+from .base import ExternalDictionary, LayoutSnapshot, TableStats
 from .chaining import ChainedHashTable
 from .extendible import ExtendibleHashTable
 from .linear_hashing import LinearHashingTable
@@ -21,7 +21,6 @@ __all__ = [
     "ExternalDictionary",
     "LayoutSnapshot",
     "TableStats",
-    "iter_blocks_items",
     "ChainedBucket",
     "ChainedHashTable",
     "ExtendibleHashTable",

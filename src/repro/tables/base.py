@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -249,9 +249,3 @@ class ExternalDictionary(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.name}(n={self._size}, b={self.ctx.b}, m={self.ctx.m})"
 
-
-def iter_blocks_items(snapshot: LayoutSnapshot) -> Iterator[tuple[int, int]]:
-    """Yield ``(block_id, item)`` pairs from a snapshot."""
-    for bid, items in snapshot.blocks.items():
-        for x in items:
-            yield bid, x

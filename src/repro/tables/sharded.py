@@ -58,6 +58,8 @@ __all__ = [
     "SlotDirectory",
     "make_sharded",
     "shard_view",
+    "sum_table_stats",
+    "union_layout",
 ]
 
 #: Block-id stride between shard disks.  Far above any realistic
@@ -191,6 +193,60 @@ class SlotDirectory:
             (self.slot_map == np.arange(self.slots, dtype=np.int64) % self.shards)
             .all()
         )
+
+
+def sum_table_stats(tables: Sequence[ExternalDictionary]) -> TableStats:
+    """The shard tables' operation counters, summed."""
+    agg = TableStats()
+    for table in tables:
+        s = table.stats
+        agg.inserts += s.inserts
+        agg.lookups += s.lookups
+        agg.hits += s.hits
+        agg.deletes += s.deletes
+        agg.rebuilds += s.rebuilds
+        agg.merges += s.merges
+        for k, v in s.extra.items():
+            agg.extra[k] = agg.extra.get(k, 0) + v
+    return agg
+
+
+def union_layout(
+    tables: Sequence[ExternalDictionary], directory: SlotDirectory
+) -> LayoutSnapshot:
+    """Union of the shard tables' snapshots; the address routes by shard.
+
+    Block-id disjointness is structural (strided disk namespaces), so
+    the union never collides and the zone analyser decomposes a sharded
+    table exactly like an unsharded one.
+    """
+    snaps = [table.layout_snapshot() for table in tables]
+    blocks: dict[int, tuple[int, ...]] = {}
+    memory_items: frozenset[int] = frozenset()
+    for snap in snaps:
+        blocks.update(snap.blocks)
+        memory_items |= snap.memory_items
+    addresses = [snap.address for snap in snaps]
+    shards = directory.shards
+
+    def address(key: int) -> int | None:
+        if shards == 1:
+            return addresses[0](key)
+        return addresses[directory.shard_of(key)](key)
+
+    # A static map costs the router seed + shard count to describe
+    # (2 words, as before); a migrated map must also be written down
+    # slot by slot — the honest description cost of adaptivity.
+    route_words = 2 if directory.is_static() else 2 + directory.slots
+    return LayoutSnapshot(
+        memory_items=memory_items,
+        blocks=blocks,
+        address=address,
+        address_description_words=sum(
+            snap.address_description_words for snap in snaps
+        )
+        + route_words,
+    )
 
 
 class ShardedDictionary(ExternalDictionary):
@@ -398,18 +454,7 @@ class ShardedDictionary(ExternalDictionary):
     @property
     def stats(self) -> TableStats:
         """Aggregated operation counters over all shards."""
-        agg = TableStats()
-        for table in self._shards:
-            s = table.stats
-            agg.inserts += s.inserts
-            agg.lookups += s.lookups
-            agg.hits += s.hits
-            agg.deletes += s.deletes
-            agg.rebuilds += s.rebuilds
-            agg.merges += s.merges
-            for k, v in s.extra.items():
-                agg.extra[k] = agg.extra.get(k, 0) + v
-        return agg
+        return sum_table_stats(self._shards)
 
     @property
     def _size(self) -> int:
@@ -453,40 +498,8 @@ class ShardedDictionary(ExternalDictionary):
     # -- instrumentation -------------------------------------------------------
 
     def layout_snapshot(self) -> LayoutSnapshot:
-        """Union of the shard snapshots; the address routes by shard.
-
-        Block-id disjointness is structural (strided disk namespaces),
-        so the union never collides and the zone analyser decomposes a
-        sharded table exactly like an unsharded one.
-        """
-        snaps = [table.layout_snapshot() for table in self._shards]
-        blocks: dict[int, tuple[int, ...]] = {}
-        memory_items: frozenset[int] = frozenset()
-        for snap in snaps:
-            blocks.update(snap.blocks)
-            memory_items |= snap.memory_items
-        addresses = [snap.address for snap in snaps]
-        directory = self.directory
-        shards = self.shards
-
-        def address(key: int) -> int | None:
-            if shards == 1:
-                return addresses[0](key)
-            return addresses[directory.shard_of(key)](key)
-
-        # A static map costs the router seed + shard count to describe
-        # (2 words, as before); a migrated map must also be written down
-        # slot by slot — the honest description cost of adaptivity.
-        route_words = 2 if directory.is_static() else 2 + directory.slots
-        return LayoutSnapshot(
-            memory_items=memory_items,
-            blocks=blocks,
-            address=address,
-            address_description_words=sum(
-                snap.address_description_words for snap in snaps
-            )
-            + route_words,
-        )
+        """Union of the shard snapshots; the address routes by shard."""
+        return union_layout(self._shards, self.directory)
 
     def check_invariants(self) -> None:
         seen_blocks: set[int] = set()

@@ -28,7 +28,6 @@ from .drivers import (
     measure_insert_cost,
     measure_query_cost,
     measure_table,
-    measure_tradeoff_point,
     trace_insert_history,
 )
 from .metrics import CostHistory, RunningStats, Summary, summarize
@@ -54,7 +53,6 @@ __all__ = [
     "measure_insert_cost",
     "measure_query_cost",
     "measure_table",
-    "measure_tradeoff_point",
     "trace_insert_history",
     "CostHistory",
     "MixedWorkload",

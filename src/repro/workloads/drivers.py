@@ -170,20 +170,6 @@ def measure_table(
     )
 
 
-def measure_tradeoff_point(
-    context_factory: ContextFactory,
-    table_factory: TableFactory,
-    n: int,
-    *,
-    c: float,
-    label: str,
-    seed: int = 0,
-) -> tuple[float, float, float, str]:
-    """A Figure 1 measured point: ``(c, t_q, t_u, label)``."""
-    m = measure_table(context_factory, table_factory, n, seed=seed)
-    return (c, m.t_q, m.t_u, label)
-
-
 def trace_insert_history(
     context_factory: ContextFactory,
     table_factory: TableFactory,

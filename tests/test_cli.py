@@ -149,6 +149,33 @@ class TestSlo:
         assert "--slo-ms must be positive" in capsys.readouterr().err
 
 
+class TestConfigErrors:
+    """Errors the config classes and ``make_context`` raise exit 2, cleanly."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--shards", "0"],
+            ["serve", "--shards", "0", "--slots", "64"],
+            ["serve", "--cache-blocks", "-1"],
+            ["serve", "--m", "0"],
+            ["slo", "--cache-blocks", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2_with_command_prefix(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: ")
+        assert "Traceback" not in err
+
+    def test_rejected_before_the_journal_opens(self, tmp_path, capsys):
+        journal = tmp_path / "j.bin"
+        assert main(["serve", "--m", "0", "--journal", str(journal)]) == 2
+        assert "m must be positive" in capsys.readouterr().err
+        assert not journal.exists()
+
+
 class TestRecover:
     def test_serve_then_recover_round_trip(self, tmp_path, capsys):
         snap, journal = str(tmp_path / "s.pkl"), str(tmp_path / "j.bin")

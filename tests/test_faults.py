@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 from repro.em import (
+    Block,
     Disk,
     MappingBackend,
     RetryExhausted,
     SimulatedCrash,
+    StorageBackend,
     StorageFault,
     make_context,
 )
@@ -44,6 +46,111 @@ def _stack(schedule, policy=None, sleeps=None):
         sleep=(sleeps.append if sleeps is not None else lambda s: None),
     )
     return inner, faulty, retrier
+
+
+def _filled():
+    """A small inner backend: block 0 holds three records, block 1 is empty."""
+    backend = MappingBackend(8, 1)
+    backend.create(0)
+    backend.append(0, [3, 5, 7])
+    backend.create(1)
+    return backend
+
+
+def _contents(backend):
+    return {bid: backend.records(bid) for bid in sorted(backend.ids())}
+
+
+#: Every faultable data-path primitive: its fault kind and one call.
+DATA_PATH = {
+    "fetch": ("read", lambda be: be.fetch(0).records()),
+    "records": ("read", lambda be: be.records(0)),
+    "records_arr": ("read", lambda be: be.records_arr(0).tolist()),
+    "contains_key": ("read", lambda be: be.contains_key(0, 5)),
+    "commit": ("write", lambda be: be.commit(1, Block(8, data=[9]))),
+    "append": ("write", lambda be: be.append(1, [9, 11])),
+    "replace": ("write", lambda be: be.replace(0, [2, 4])),
+    "drain": ("write", lambda be: be.drain(0)),
+    "remove_key": ("write", lambda be: be.remove_key(0, 5)),
+}
+
+#: Every lifecycle/introspection method the decorators pass straight on.
+PASS_THROUGH = {
+    "create": lambda be: be.create(2),
+    "create_many": lambda be: be.create_many([2, 3]),
+    "delete": lambda be: be.delete(1),
+    "__contains__": lambda be: (0 in be, 4 in be),
+    "length": lambda be: be.length(0),
+    "is_fresh": lambda be: (be.is_fresh(0), be.is_fresh(1)),
+    "ids": lambda be: sorted(be.ids()),
+    "count": lambda be: be.count(),
+    "nonempty": lambda be: be.nonempty(),
+    "words_stored": lambda be: be.words_stored(),
+}
+
+
+class TestDecoratorRouting:
+    """Every protocol method goes through the decorators the right way."""
+
+    def test_tables_cover_the_protocol(self):
+        protocol = {
+            name
+            for name, attr in vars(StorageBackend).items()
+            if callable(attr) and name != "__init__"
+        }
+        assert not set(DATA_PATH) & set(PASS_THROUGH)
+        assert set(DATA_PATH) | set(PASS_THROUGH) == protocol
+
+    @pytest.mark.parametrize("method", sorted(DATA_PATH))
+    def test_data_path_ticks_once_with_its_kind(self, method):
+        kind, call = DATA_PATH[method]
+        trace: list[str] = []
+        faulty = FaultInjectingBackend(_filled(), trace=trace)
+        twin = _filled()
+        assert call(faulty) == call(twin)
+        assert faulty.clock.ops == 1
+        assert trace == [kind]
+        assert _contents(faulty.inner) == _contents(twin)
+
+    @pytest.mark.parametrize("method", sorted(DATA_PATH))
+    def test_data_path_heals_after_one_op_burst(self, method):
+        kind, call = DATA_PATH[method]
+        burst = {1: 1}
+        schedule = (
+            FaultSchedule(read_faults=burst)
+            if kind == "read"
+            else FaultSchedule(write_faults=burst)
+        )
+        faulty = FaultInjectingBackend(_filled(), schedule=schedule)
+        retrier = RetryingBackend(
+            faulty, policy=RetryPolicy(max_retries=1, backoff_s=0)
+        )
+        twin = _filled()
+        assert call(retrier) == call(twin)
+        assert (faulty.injected, retrier.retries, faulty.clock.ops) == (1, 1, 2)
+        assert _contents(faulty.inner) == _contents(twin)
+
+    @pytest.mark.parametrize("method", ["append", "replace"])
+    def test_crash_tears_multi_record_writes_only(self, method):
+        inner = _filled()
+        faulty = FaultInjectingBackend(inner, schedule=FaultSchedule(crash_at_op=1))
+        with pytest.raises(SimulatedCrash):
+            getattr(faulty, method)(1, [2, 4, 6, 8])
+        assert inner.records(1) == [2, 4]
+        with pytest.raises(SimulatedCrash):
+            getattr(faulty, method)(0, [9])  # one record: whole or nothing
+        assert inner.records(0) == [3, 5, 7]
+
+    @pytest.mark.parametrize("method", sorted(PASS_THROUGH))
+    def test_pass_through_ticks_nothing(self, method):
+        call = PASS_THROUGH[method]
+        # Any tick would crash: the schedule crashes at the first op.
+        faulty = FaultInjectingBackend(_filled(), schedule=FaultSchedule(crash_at_op=1))
+        stack = RetryingBackend(faulty)
+        twin = _filled()
+        assert call(stack) == call(twin)
+        assert faulty.clock.ops == 0
+        assert _contents(faulty.inner) == _contents(twin)
 
 
 class TestSchedule:

@@ -14,27 +14,43 @@ Three guarantees are pinned here:
 * **placement compatibility** — a service over N shards stores keys on
   exactly the shard a :class:`~repro.tables.sharded.ShardedDictionary`
   over N shards would pick (same fixed-seed router).
+
+Plus one golden pin: a combined run (rebalancing, journal, tracing,
+snapshot + recovery, an overloaded open-loop drive with breakers)
+compared against fixed ledger, metric, layout and trace values, so a
+change to the epoch-close fold that shifted a counter everywhere at
+once still fails.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
 
 from repro.core.buffered import BufferedHashTable
+from repro.core.config import ObsConfig, RebalanceConfig
 from repro.em import PAPER_POLICY, STRICT_POLICY, make_context
 from repro.hashing.family import MULTIPLY_SHIFT
+from repro.obs import scan_trace, strip_wall
 from repro.service import (
+    AdmissionController,
     ClosedLoopClient,
     DictionaryService,
+    EpochJournal,
+    OpenLoopClient,
+    PoissonArrivals,
+    ShardBreakerBoard,
     build_epochs,
     make_executor,
+    recover,
 )
 from repro.service.client import _weighted_percentile
 from repro.tables import ChainedHashTable, ShardedDictionary
-from repro.workloads.generators import UniformKeys
+from repro.workloads.generators import UniformKeys, make_generator
 from repro.workloads.trace import (
     OP_DELETE,
     OP_INSERT,
@@ -459,3 +475,118 @@ def test_bulk_mixed_workload_validation():
         BulkMixedWorkload(gen, chunk=0)
     with pytest.raises(ValueError, match="count"):
         BulkMixedWorkload(gen).take_arrays(-1)
+
+
+# -- golden pin of one combined run ------------------------------------------
+
+
+def _combined_run(tmp_path, cache_blocks):
+    """Every service feature at once, over a skewed stream.
+
+    Thirds of one Zipf(1.3) trace: a journaled, traced, rebalancing
+    ``run``; a snapshot and a second ``run``; then an open-loop drive at
+    3x the service rate with shedding and per-shard breakers.  The twin
+    is recovered from the snapshot plus the journal's second third.
+    """
+    wl = BulkMixedWorkload(
+        make_generator("zipf", 10**12, 5, theta=1.3),
+        mix=(0.45, 0.30, 0.15, 0.10),
+        seed=9,
+        chunk=256,
+    )
+    kinds, keys = wl.take_arrays(20000)
+    ctx = make_context(
+        b=16, m=256, u=10**12, backend="arena", cache_blocks=cache_blocks
+    )
+    svc = DictionaryService(
+        ctx,
+        _buffered,
+        shards=4,
+        epoch_ops=256,
+        journal=EpochJournal(tmp_path / "epochs.journal"),
+        rebalance=RebalanceConfig(threshold=1.1, window=2, cooldown=1, min_io=1),
+        obs=ObsConfig(trace_path=str(tmp_path / "trace.jsonl"), wall_clock=False),
+    )
+    third = len(kinds) // 3
+    first = svc.run(kinds[:third], keys[:third])
+    svc.snapshot(tmp_path / "snap.pkl")
+    second = svc.run(kinds[third : 2 * third], keys[third : 2 * third])
+    twin = recover(
+        tmp_path / "snap.pkl", tmp_path / "epochs.journal", resume_journal=False
+    ).service
+    report = OpenLoopClient(
+        svc,
+        PoissonArrivals(60000.0, seed=3),
+        controller=AdmissionController(queue_depth=128, policy="shed"),
+        breaker=ShardBreakerBoard(4, threshold=2, cooldown=0.01),
+        service_rate=20000.0,
+    ).drive(kinds[2 * third :], keys[2 * third :])
+    svc.close()
+    svc.journal.close()
+    twin.close()
+    return svc, twin, first.epochs + second.epochs, report
+
+
+def _ledgers(svc):
+    return {
+        "io": svc.io_snapshot().as_dict(),
+        "cache": svc.cache_snapshot().as_dict(),
+        "shard_io": [s.as_dict() for s in svc.shard_io_snapshots()],
+        "metrics": svc.metrics().as_dict(),
+    }
+
+
+#: cache_blocks -> (cluster I/O, cache hits/misses, migrated slots,
+#: epochs, live keys, open-loop executed/shed, sha256 of everything).
+GOLDEN = {
+    0: (
+        {"reads": 14933, "writes": 1771, "combined": 8953, "allocations": 1977},
+        (0, 0),
+        75,
+        84,
+        5878,
+        (2408, 4260),
+        "bfab3e3d3dc33dd4d706be2a58359af2e9bcb12c01eac45c1a8567c4db7e865c",
+    ),
+    4: (
+        {"reads": 14147, "writes": 1978, "combined": 8413, "allocations": 2002},
+        (445, 14147),
+        68,
+        84,
+        5878,
+        (2408, 4260),
+        "a4f3fbde6bce917f89ef528882387668ebe7789425ad48cccfdd741e866ea21f",
+    ),
+}
+
+
+@pytest.mark.parametrize("cache_blocks", sorted(GOLDEN))
+def test_combined_run_golden(tmp_path, cache_blocks):
+    svc, twin, epochs, report = _combined_run(tmp_path, cache_blocks)
+    snap = svc.layout_snapshot()
+    cache = svc.cache_snapshot()
+    payload = {
+        **_ledgers(svc),
+        "setup_io": svc.setup_io,
+        "epoch_io": [e.io for e in epochs],
+        "blocks": sorted((b, list(v)) for b, v in snap.blocks.items()),
+        "memory_items": sorted(snap.memory_items),
+        "address_words": snap.address_description_words,
+        "twin": _ledgers(twin),
+        "trace": [
+            strip_wall(r) for r in scan_trace(tmp_path / "trace.jsonl").records
+        ],
+        "client": report.row(),
+    }
+    digest = hashlib.sha256(
+        json.dumps(payload, sort_keys=True, default=str).encode()
+    ).hexdigest()
+    assert (
+        svc.io_snapshot().as_dict(),
+        (cache.hits, cache.misses),
+        svc.migrated_slots,
+        svc.epochs_run,
+        len(svc),
+        (report.executed, report.shed),
+        digest,
+    ) == GOLDEN[cache_blocks]
