@@ -10,14 +10,14 @@ help:
 	@echo "Targets:"
 	@echo "  make test          tier-1 verification: PYTHONPATH=src python -m pytest tests/ -x -q"
 	@echo "                     (includes the crash-recovery chaos suite)"
-	@echo "  make test-fast     quick subset: tables + parity + EM layer"
+	@echo "  make test-fast     quick subset: tables + parity + EM layer + hashing"
 	@echo "  make chaos-test    crash-point matrix only: journal/recovery/fault-injection"
 	@echo "  make overload-test open-loop traffic + admission/shedding/breaker invariants"
 	@echo "  make obs-test      observability: trace framing/determinism, metrics, relabelling"
 	@echo "  make bench         scalar-vs-batch + backend x shards perf rows -> BENCH_throughput.json"
 	@echo "  make cache-bench   cold-vs-warm BufferPool rows + plots/*.dat curves -> BENCH_cache.json"
 	@echo "  make service-bench mixed-op service rows (incl. durable+journal leg) -> BENCH_service.json"
-	@echo "  make slo-bench     latency vs offered load sweep + breaker chaos -> BENCH_service.json"
+	@echo "  make slo-bench     latency vs offered load sweep + breaker chaos -> BENCH_slo.json"
 	@echo "  make skew-bench    static-vs-adaptive routing skew matrix + plots -> BENCH_skew.json"
 	@echo "  make bench-all     every paper-artifact benchmark (slow)"
 	@echo "  make plots         regenerate every plots/*.dat from the checked-in BENCH_*.json"
@@ -28,6 +28,7 @@ test:
 	$(PY) -m pytest tests/ -x -q
 
 ## Quick subset for inner-loop development (tables + parity + EM layer,
+## the exact hash values every layout depends on,
 ## buffer-pool unit tests, the cached-vs-uncached relabelling contract,
 ## the skew-routing contracts: slot directory, rebalancer policy,
 ## migration journal, generator determinism — and the observability
@@ -37,7 +38,7 @@ test-fast:
 	    tests/test_em_iostats.py tests/test_em_cache.py \
 	    tests/test_cache_axis.py tests/test_buffered.py \
 	    tests/test_logmethod.py tests/test_rebalance.py \
-	    tests/test_obs.py -q
+	    tests/test_obs.py tests/test_hashing.py -q
 
 ## Crash-consistency only: the chaos matrix (crash at every epoch
 ## boundary + sampled intra-epoch backend ops, per policy x backend,
@@ -96,11 +97,12 @@ service-bench:
 ## SLO axis: the open-loop latency-vs-offered-load sweep (calibrated
 ## capacity, shed-policy rows at 0.5x-2.5x, the deadline degradation
 ## leg, the knee/max-sustainable-goodput gate, and the breaker chaos
-## row).  Also writes BENCH_service.json (headline numbers land in
-## extra_info under test_service_slo_sweep).
+## row).  Writes BENCH_slo.json (headline numbers land in extra_info
+## under test_service_slo_sweep), so it never overwrites the
+## service-bench record.
 slo-bench:
 	REPRO_PLOT_DIR=plots $(PY) -m pytest benchmarks/bench_service_slo.py \
-	    --benchmark-only -s -q --benchmark-json=BENCH_service.json
+	    --benchmark-only -s -q --benchmark-json=BENCH_slo.json
 
 ## Skew axis: the static-vs-adaptive routing matrix (router-correlated
 ## adversarial + hot-Zipf gate legs at n=1e6, the wider distribution

@@ -38,7 +38,7 @@ Asserted shape:
   recounts).
 
 Headline numbers land in ``benchmark.extra_info`` → ``make slo-bench``
-writes ``BENCH_service.json`` at the repo root.  Every emitted series
+writes ``BENCH_slo.json`` at the repo root.  Every emitted series
 is also stashed in ``extra_info["series"]`` so ``make plots`` can
 regenerate the ``.dat`` files from the JSON alone; the knee-load sweep
 leg additionally exports its per-epoch observability trace as
@@ -241,7 +241,7 @@ def test_service_slo_sweep(benchmark):
     # Per-config series for the plotting pipeline: emitted as .dat now
     # (opt-in via $REPRO_PLOT_DIR, e.g. `make slo-bench`) AND stashed in
     # extra_info["series"] so `make plots` can regenerate them from
-    # BENCH_service.json alone.
+    # BENCH_slo.json alone.
     series_cols = (
         "load_x", "goodput_kops", "p50_ms", "p99_ms", "queue_p99",
         "shed", "rejected", "deadline_exceeded",

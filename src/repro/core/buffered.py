@@ -178,7 +178,7 @@ class BufferedHashTable(ExternalDictionary):
         bucket = self._hhat[int(self.h.hash(key)) % len(self._hhat)]
         found, _ = bucket.lookup(key)
         if not found:
-            found = self._recent.lookup_disk_only(key, charge=True)
+            found = self._recent.lookup_disk_only(key)
         if found:
             self.stats.hits += 1
         return found
@@ -273,59 +273,27 @@ class BufferedHashTable(ExternalDictionary):
         *,
         cost_out: list[int] | None = None,
     ) -> np.ndarray:
+        """Memory by set probes, then one address-then-gather walk of
+        ``Ĥ`` and the log-method levels
+        (:meth:`~repro.core.logmethod.LogMethodHashTable.probe_levels_batch`),
+        charged in the scalar walk's block order at every batch size."""
         key_list, arr = normalize_keys(keys)
         n = len(key_list)
-        out = np.empty(n, dtype=bool)
-        self.stats.lookups += n
         if self._bootstrapping:
-            resident = set(self._bootstrap)
-            for i in range(n):
-                out[i] = key_list[i] in resident
-            if cost_out is not None:
-                cost_out.extend([0] * n)
-            self.stats.hits += int(np.count_nonzero(out))
-            return out
-        hhat = self._hhat
-        if (
-            cost_out is None
-            # Crossover: materialising + sorting Ĥ costs O(stored), so
-            # the vectorised path only pays off for batches that are
-            # not tiny relative to the table (cf. the LSM screen gate).
-            and 24 * n >= self._hhat_count
-            and self._recent.levels_chain_free()
-            and all(not bkt._chain for bkt in hhat)
-        ):
-            # Fully vectorised: one bulk walk of Ĥ then the log-method
-            # levels, charged in the scalar walk's block order (and, with
-            # a buffer pool attached, replayed through it so every read
-            # is labelled hit or miss).
-            in_mem = self._recent.memory_membership(arr)
-            out = in_mem | self._recent.probe_levels_batch(arr, ~in_mem, head=hhat)
-            self.stats.hits += int(np.count_nonzero(out))
-            return out
-        d = len(hhat)
-        stats = self.ctx.stats
-        hv_list = self.h.hash_array(arr).tolist()
-        in_mem_one = self._recent.in_memory
-        recent_disk = self._recent.lookup_disk_only
-        hits = 0
-        for i in range(n):
-            key = key_list[i]
-            if in_mem_one(key):
-                found = True
-                if cost_out is not None:
-                    cost_out.append(0)
-            else:
-                h = hv_list[i]
-                before = stats.reads if cost_out is not None else 0
-                found, _ = hhat[h % d].lookup(key)
-                if not found:
-                    found = recent_disk(key, charge=True, hashed=h)
-                if cost_out is not None:
-                    cost_out.append(stats.reads - before)
-            out[i] = found
-            hits += found
-        self.stats.hits += hits
+            out = np.fromiter(
+                map(self._bootstrap.__contains__, key_list), dtype=bool, count=n
+            )
+            cost = np.zeros(n, dtype=np.int64)
+        else:
+            in_mem = self._recent.memory_membership(key_list)
+            found, cost = self._recent.probe_levels_batch(
+                arr, ~in_mem, head=(self._hhat, self._hhat_count)
+            )
+            out = in_mem | found
+        self.stats.lookups += n
+        self.stats.hits += int(np.count_nonzero(out))
+        if cost_out is not None:
+            cost_out.extend(cost.tolist())
         return out
 
     def delete_batch(
@@ -433,12 +401,6 @@ class BufferedHashTable(ExternalDictionary):
         outside = self._size - self._hhat_count
         return outside / self._size
 
-    def hhat_load_factor(self) -> float:
-        if not self._hhat:
-            return 0.0
-        blocks = sum(1 + bkt.chain_length for bkt in self._hhat)
-        return -(-self._hhat_count // self.ctx.b) / blocks if blocks else 0.0
-
     def layout_snapshot(self) -> LayoutSnapshot:
         recent_snap = self._recent.layout_snapshot()
         blocks: dict[int, tuple[int, ...]] = dict(recent_snap.blocks)
@@ -470,6 +432,7 @@ class BufferedHashTable(ExternalDictionary):
         # Ĥ integrity.
         stored = 0
         for idx, bkt in enumerate(self._hhat):
+            assert bkt.primary == self._hhat[0].primary + idx  # addressing
             items = bkt.peek_all()
             stored += len(items)
             for x in items:

@@ -39,6 +39,17 @@ from ..tables.batching import (
 from ..tables.overflow import ChainedBucket, bulk_merge_into
 
 
+def _gather_is_cheaper(n: int, per_block: int, stored: int) -> bool:
+    """Should ``n`` keys probe their own blocks of ``per_block`` records
+    rather than one sorted copy of a bucket row holding ``stored`` items?
+
+    Measured on one arena shard (b = 128 to 1024, 40k to 125k keys in
+    ``Ĥ``): the gather won up to ``n · per_block = 10 · stored`` and lost
+    from ``12 · stored`` at b = 1024, where it outgrows the CPU caches.
+    """
+    return n * per_block <= 10 * stored
+
+
 class _DiskLevel:
     """One disk-resident level ``H_k``: an array of chained buckets."""
 
@@ -147,7 +158,7 @@ class LogMethodHashTable(ExternalDictionary):
         if key in self._h0:
             self.stats.hits += 1
             return True
-        if self.lookup_disk_only(key, charge=True):
+        if self.lookup_disk_only(key):
             self.stats.hits += 1
             return True
         return False
@@ -192,29 +203,15 @@ class LogMethodHashTable(ExternalDictionary):
         """
         return key in self._h0
 
-    def lookup_disk_only(
-        self, key: int, *, charge: bool, hashed: int | None = None
-    ) -> bool:
-        """Probe each non-empty disk level once.
-
-        ``charge=False`` is used for the duplicate check on insertion,
-        which a set-semantics table needs but the paper's insert-only
-        accounting does not charge; the cost ablation in the benchmarks
-        flips it.  ``hashed`` lets batch callers pass a precomputed
-        ``h(key)``.
-        """
-        hv = int(self.h.hash(key)) if hashed is None else hashed
-        for lvl in self._levels:
-            if lvl is None or lvl.empty:
-                continue
-            bucket = lvl.buckets[hv % len(lvl.buckets)]
-            if charge:
-                found, _ = bucket.lookup(key)
-            else:
-                found = key in bucket.peek_all()
-            if found:
-                return True
-        return False
+    def lookup_disk_only(self, key: int) -> bool:
+        """Probe each non-empty disk level once (a charged chain walk of
+        the key's bucket), stopping at the first hit."""
+        hv = int(self.h.hash(key))
+        return any(
+            lvl.buckets[hv % len(lvl.buckets)].lookup(key)[0]
+            for lvl in self._levels
+            if lvl is not None and not lvl.empty
+        )
 
     # -- batch operations -------------------------------------------------------------
 
@@ -266,36 +263,13 @@ class LogMethodHashTable(ExternalDictionary):
         cost_out: list[int] | None = None,
     ) -> np.ndarray:
         key_list, arr = normalize_keys(keys)
-        n = len(key_list)
-        # The whole-level materialisation only pays off for batches that
-        # are not tiny relative to the table (cf. the LSM screen gate).
-        if cost_out is None and 24 * n >= self._size and self.levels_chain_free():
-            self.stats.lookups += n
-            in_h0 = self.memory_membership(arr)
-            out = in_h0 | self.probe_levels_batch(arr, ~in_h0)
-            self.stats.hits += int(np.count_nonzero(out))
-            return out
-        hv = self.h.hash_array(arr).tolist()
-        out = np.empty(n, dtype=bool)
-        in_mem = self._h0.__contains__
-        stats = self.ctx.stats
-        hits = 0
-        for i in range(n):
-            key = key_list[i]
-            if in_mem(key):
-                found = True
-                if cost_out is not None:
-                    cost_out.append(0)
-            elif cost_out is None:
-                found = self.lookup_disk_only(key, charge=True, hashed=hv[i])
-            else:
-                before = stats.reads
-                found = self.lookup_disk_only(key, charge=True, hashed=hv[i])
-                cost_out.append(stats.reads - before)
-            out[i] = found
-            hits += found
-        self.stats.lookups += n
-        self.stats.hits += hits
+        in_h0 = self.memory_membership(key_list)
+        found, cost = self.probe_levels_batch(arr, ~in_h0)
+        out = in_h0 | found
+        self.stats.lookups += len(key_list)
+        self.stats.hits += int(np.count_nonzero(out))
+        if cost_out is not None:
+            cost_out.extend(cost.tolist())
         return out
 
     def delete_batch(
@@ -340,96 +314,111 @@ class LogMethodHashTable(ExternalDictionary):
 
     # -- vectorised probing helpers ---------------------------------------------------
 
-    def levels_chain_free(self) -> bool:
-        """Do all disk-level buckets consist of a single block?
-
-        Precondition for the fully vectorised lookup path, where each
-        probed level must cost exactly one read per key.
-        """
-        return all(
-            not bkt._chain
-            for lvl in self._levels
-            if lvl is not None
-            for bkt in lvl.buckets
+    def memory_membership(self, key_list: list[int]) -> np.ndarray:
+        """:meth:`in_memory` of every key, by set probes (no I/O)."""
+        return np.fromiter(
+            map(self._h0.__contains__, key_list), dtype=bool, count=len(key_list)
         )
-
-    def memory_membership(self, arr: np.ndarray) -> np.ndarray:
-        """Vectorised ``in_memory`` over a uint64 key array (no I/O)."""
-        if not self._h0:
-            return np.zeros(len(arr), dtype=bool)
-        h0_arr = np.fromiter(self._h0, dtype=np.uint64, count=len(self._h0))
-        return membership(arr, h0_arr)
 
     def probe_levels_batch(
         self,
         arr: np.ndarray,
         mask: np.ndarray,
         *,
-        head: list[ChainedBucket] | None = None,
-    ) -> np.ndarray:
-        """Vectorised ``lookup_disk_only(charge=True)`` for ``arr[mask]``.
+        head: tuple[list[ChainedBucket], int] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`lookup_disk_only` for ``arr[mask]``.
 
-        Requires :meth:`levels_chain_free`.  Each masked key probes its
-        bucket in ``head`` — a chain-free bucket row probed ahead of the
-        levels, the Theorem 2 table's ``Ĥ`` — then in each non-empty
-        level, stopping at its first hit: the scalar walk.  An item
-        always lives in its own hash bucket, so membership in a whole
-        row equals membership in the key's bucket.  The walk's reads are
-        charged in bulk by :meth:`_charge_walk`.
+        Each masked key probes its bucket in ``head`` — a bucket row
+        probed ahead of the levels with its stored-item count, the
+        Theorem 2 table's ``Ĥ`` — then in each non-empty level, stopping
+        at its first hit: the scalar walk.  Address, then gather: every
+        row's primaries are contiguous, so a still-searching key's block
+        is ``row[0].primary + h % d`` and one :meth:`Disk.keys_in` call
+        probes all of them; a key that misses a chained bucket takes one
+        more round per chain block.  Large batches test the primary
+        round against the whole row's records instead (an item lives
+        only in its own bucket, so the answer is the same) where
+        :func:`_gather_is_cheaper` says that costs less.  Each key is
+        hashed once; the walk's block ids are charged by
+        :meth:`_charge_walk`.  Returns ``(found, charged reads)`` per
+        key of ``arr``, zero for unmasked keys.
         """
         rows = [] if head is None else [head]
         rows += [
-            lvl.buckets for lvl in self._levels if lvl is not None and not lvl.empty
+            (lvl.buckets, lvl.count)
+            for lvl in self._levels
+            if lvl is not None and not lvl.empty
         ]
         found = np.zeros(len(arr), dtype=bool)
+        cost = np.zeros(len(arr), dtype=np.int64)
         probing = np.flatnonzero(mask)
         if not rows or probing.size == 0:
-            return found
-        records_arr = self.ctx.disk.records_arr
+            return found, cost
+        disk = self.ctx.disk
         keys = arr[probing]
-        # visits[i, j]: key i's walk reaches row j (still searching there).
-        visits = np.zeros((len(keys), len(rows)), dtype=bool)
-        searching = np.ones(len(keys), dtype=bool)
-        for j, row in enumerate(rows):
-            idx = np.flatnonzero(searching)
-            if idx.size == 0:
+        hv = self.h.hash_array(keys)
+        per_block = disk.b // disk.record_words
+        # (key positions, block ids) of each probe round, in walk order.
+        rounds: list[tuple[np.ndarray, np.ndarray]] = []
+        searching = np.arange(len(keys))
+        for row, stored in rows:
+            if searching.size == 0:
                 break
-            visits[:, j] = searching
-            items = concat_records(records_arr(bkt.primary) for bkt in row)
-            searching[idx[membership(keys[idx], items)]] = False
-        found[probing] = ~searching
-        self._charge_walk(keys, rows, visits)
-        return found
+            bkt = (hv[searching] % np.uint64(len(row))).astype(np.int64)
+            bids = bkt + row[0].primary
+            probe = keys[searching]
+            if _gather_is_cheaper(len(probe), per_block, stored):
+                hit = disk.keys_in(bids, probe)
+            else:
+                items = concat_records(disk.records_arr(b.primary) for b in row)
+                hit = membership(probe, items)
+            rounds.append((searching, bids))
+            missed = np.flatnonzero(~hit)
+            if len(missed) > len(row):  # one pass over the row is cheaper
+                missed = missed[np.array([bool(b._chain) for b in row])[bkt[missed]]]
+            chained = [
+                (i, row[j]._chain)
+                for i, j in zip(missed.tolist(), bkt[missed].tolist())
+                if row[j]._chain
+            ]
+            depth = 0
+            while chained:
+                pos = np.array([i for i, _ in chained])
+                ids = np.array([chain[depth] for _, chain in chained])
+                hit[pos] = disk.keys_in(ids, probe[pos])
+                rounds.append((searching[pos], ids))
+                depth += 1
+                chained = [(i, c) for i, c in chained if not hit[i] and len(c) > depth]
+            searching = searching[~hit]
+        ids = np.full((len(keys), len(rounds)), -1, dtype=np.int64)
+        for r, (pos, bids) in enumerate(rounds):
+            ids[pos, r] = bids
+        found[probing] = True
+        found[probing[searching]] = False
+        cost[probing] = self._charge_walk(ids)
+        return found, cost
 
-    def _charge_walk(
-        self, keys: np.ndarray, rows: list[list[ChainedBucket]], visits: np.ndarray
-    ) -> None:
+    def _charge_walk(self, ids: np.ndarray) -> np.ndarray:
         """Charge a vectorised walk exactly as the scalar walk would.
 
-        Uncached, every probe is one read: the count is charged in bulk
-        and the last key's last probe is left as the pending
-        read-modify-write block.  With a buffer pool attached, the walk's
-        block ids, key by key in the scalar order, go to
-        :meth:`~repro.em.cache.CachedDisk.charge_probes`, which replays
-        them through the pool and charges only the misses.
+        ``ids[i, r]`` is the block key ``i`` probes in round ``r`` (-1
+        when it took no part); row-major order is the scalar order, key
+        by key.  Uncached, each probe is one read, charged in bulk, the
+        last one left as the pending read-modify-write block; with a
+        buffer pool, :meth:`~repro.em.cache.CachedDisk.charge_probes`
+        replays the ids and charges the misses.  Returns each key's
+        charged reads.
         """
         disk = self.ctx.disk
+        visits = ids >= 0
+        walk = ids[visits]
         if disk.cache is None:
-            stats = disk.stats
-            row = rows[int(np.flatnonzero(visits[-1])[-1])]
-            hv = int(self.h.hash(int(keys[-1])))
-            stats.reads += int(np.count_nonzero(visits))
-            stats._last_read_block = row[hv % len(row)].primary
-            return
-        hv = self.h.hash_array(keys)
-        ids = np.empty(visits.shape, dtype=np.int64)
-        for j, row in enumerate(rows):
-            primaries = np.fromiter(
-                (bkt.primary for bkt in row), dtype=np.int64, count=len(row)
-            )
-            ids[:, j] = primaries[hv % np.uint64(len(row))]
-        # Boolean indexing walks row-major: key by key, rows in order.
-        disk.charge_probes(ids[visits])
+            disk.stats.record_reads(walk)
+            return visits.sum(axis=1)
+        charged = visits.copy()
+        charged[visits] = ~disk.charge_probes(walk)
+        return charged.sum(axis=1)
 
     # -- migration -------------------------------------------------------------------
 
@@ -606,6 +595,7 @@ class LogMethodHashTable(ExternalDictionary):
                 continue
             stored = 0
             for idx, bkt in enumerate(lvl.buckets):
+                assert bkt.primary == lvl.buckets[0].primary + idx  # addressing
                 for x in bkt.peek_all():
                     assert int(self.h.hash(x)) % len(lvl.buckets) == idx
                     assert x not in seen, f"duplicate {x}"

@@ -13,9 +13,13 @@ charged I/O discipline run over different physical representations:
   list).  Record-level bulk operations (:meth:`StorageBackend.records_arr`,
   :meth:`StorageBackend.append`, :meth:`StorageBackend.replace`,
   :meth:`StorageBackend.drain`) touch the arena directly — no per-block
-  Python object is materialised on the batch-engine fast paths.  Whole
-  :class:`Block` handles are materialised only for the scalar
-  ``load``/``stage``/``store`` discipline and committed back on store.
+  Python object is materialised on the batch-engine fast paths — and
+  :meth:`StorageBackend.contains_keys` answers a whole probe round of
+  the batch lookups' address-then-gather walk (each key against the one
+  block its hash addresses, at every batch size below the walk's
+  gather/sort crossover of about ``10 · stored`` gathered records) with
+  one row gather.  Whole :class:`Block` handles are materialised only
+  for the scalar ``load``/``stage``/``store`` discipline.
 * :class:`DurableArenaBackend` — the arena with its record matrix and
   length vector memory-mapped onto files (plain ndarray views over
   shared ``mmap`` buffers, so hot paths stay off the ``np.memmap``
@@ -134,6 +138,17 @@ class StorageBackend(abc.ABC):
 
     @abc.abstractmethod
     def contains_key(self, block_id: int, key: int) -> bool: ...
+
+    def contains_keys(self, block_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """``contains_key(block_ids[i], keys[i])`` for every ``i``, as a bool array.
+
+        The batch lookups' address-then-gather probe: each key against
+        the one block its hash addresses.  This default makes one
+        :meth:`contains_key` call per pair, in order, so decorators see
+        one data-path read per probed block.
+        """
+        pairs = map(self.contains_key, block_ids.tolist(), keys.tolist())
+        return np.fromiter(pairs, dtype=bool, count=len(keys))
 
     @abc.abstractmethod
     def append(self, block_id: int, items: list[int]) -> None:
@@ -396,6 +411,21 @@ class ArenaBackend(StorageBackend):
             return key in odd._data
         slot = self._slot[block_id]
         return bool((self._data[slot, : self._len[slot]] == key).any())
+
+    def contains_keys(self, block_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """One row gather: ``data[slots, :max_len] == keys[:, None]``.
+
+        Records at or past a block's length are stale, so a key counts
+        as found only when its first match lies before that length.
+        """
+        if self._odd:
+            return super().contains_keys(block_ids, keys)
+        slots = np.fromiter(map(self._slot.__getitem__, block_ids.tolist()), np.int64)
+        lengths = self._len[slots]
+        # At least one column, so argmax never meets an empty row.
+        eq = self._data[slots, : max(int(lengths.max(initial=0)), 1)] == keys[:, None]
+        first = eq.argmax(axis=1)
+        return eq[np.arange(len(keys)), first] & (first < lengths)
 
     def append(self, block_id: int, items: list[int]) -> None:
         odd = self._odd.get(block_id)

@@ -499,7 +499,7 @@ class CachedDisk(Disk):
         pool.access(block_id)  # not resident: counts the miss, installs
         return found
 
-    def charge_probes(self, block_ids: np.ndarray) -> None:
+    def charge_probes(self, block_ids: np.ndarray) -> np.ndarray:
         """Charge the reads of a :meth:`probe_record` walk without probing.
 
         ``block_ids`` is the sequence of blocks a per-key probe loop
@@ -508,10 +508,12 @@ class CachedDisk(Disk):
         (:meth:`BufferPool.access_sequence`) and its misses are charged
         in one bulk read, so counters, pool state and the pending
         read-modify-write block end exactly where the per-id
-        :meth:`probe_record` calls would leave them.
+        :meth:`probe_record` calls would leave them.  Returns the hit
+        mask, so callers can split the charge per key.
         """
         hit = self.cache.access_sequence(block_ids)
         self.stats.record_reads(block_ids[~hit])
+        return hit
 
     def remove_record(self, block_id: int, key: int) -> bool:
         if self.cache.touch(block_id):

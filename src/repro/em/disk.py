@@ -368,15 +368,6 @@ class Disk:
     # reproduce the scalar charging arithmetic in bulk — see
     # ``repro.tables.overflow.bulk_merge_into`` for the pattern.
 
-    @property
-    def record_capacity(self) -> int:
-        """Records per block at the disk's default record width."""
-        return self.b // self.record_words
-
-    def block_len(self, block_id: int) -> int:
-        """Number of records in ``block_id`` (uncharged)."""
-        return self.backend.length(block_id)
-
     def records(self, block_id: int) -> list[int]:
         """The records of ``block_id`` as Python ints (uncharged, read-only)."""
         return self.backend.records(block_id)
@@ -388,6 +379,11 @@ class Disk:
     def key_in(self, block_id: int, key: int) -> bool:
         """Record membership probe (uncharged)."""
         return self.backend.contains_key(block_id, key)
+
+    def keys_in(self, block_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Pairwise record membership, ``keys[i]`` in ``block_ids[i]``
+        (uncharged; the batch lookups' address-then-gather probe)."""
+        return self.backend.contains_keys(block_ids, keys)
 
     def is_fresh(self, block_id: int) -> bool:
         """Has ``block_id`` never been written (no records, no header)?"""

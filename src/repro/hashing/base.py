@@ -62,9 +62,6 @@ class HashFunction(abc.ABC):
         """
         return self.hash(key) & ((1 << bits) - 1)
 
-    def low_bits_array(self, keys: np.ndarray, bits: int) -> np.ndarray:
-        return self.hash_array(keys) & np.uint64((1 << bits) - 1)
-
     def __call__(self, key: int) -> int:
         return self.hash(key)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import HashFunction
-from .mixers import MASK64, mix_seed, splitmix64, splitmix64_array
+from .mixers import MASK64, mix_seed, splitmix64_array
 
 
 class IdealHash(HashFunction):
@@ -30,6 +30,10 @@ class IdealHash(HashFunction):
     universes used here.
     """
 
+    def __init__(self, u: int, seed: int = 0) -> None:
+        super().__init__(u, seed)
+        self._seed_word = np.uint64(seed & MASK64)
+
     def hash(self, key: int) -> int:
         self._check_key(key)
         v = mix_seed(self.seed, key)
@@ -38,30 +42,41 @@ class IdealHash(HashFunction):
         return (v * self.u) >> 64
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        seeded = splitmix64_array(keys) ^ np.uint64(self.seed & MASK64)
-        v = splitmix64_array(seeded)
-        if self.u & (self.u - 1) == 0:
-            return v & np.uint64(self.u - 1)
-        # 128-bit multiply-high via split into 32-bit halves.
-        return _mulhi_reduce(v, self.u)
+        v = splitmix64_array(np.asarray(keys, dtype=np.uint64))
+        v ^= self._seed_word
+        return _reduce_words(splitmix64_array(v), self.u)
+
+
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _reduce_words(v: np.ndarray, u: int) -> np.ndarray:
+    """Map full 64-bit words onto ``[0, u)`` as the scalar ``hash`` does:
+    ``v & (u - 1)`` for a power of two, else :func:`_mulhi_reduce`."""
+    if u & (u - 1) == 0:
+        return v & np.uint64(u - 1)
+    return _mulhi_reduce(v, u)
 
 
 def _mulhi_reduce(v: np.ndarray, u: int) -> np.ndarray:
-    """Vectorised Lemire reduction ``(v * u) >> 64`` for uint64 ``v``."""
-    lo32 = np.uint64(0xFFFFFFFF)
-    v_lo = v & lo32
-    v_hi = v >> np.uint64(32)
-    u_lo = np.uint64(u & 0xFFFFFFFF)
-    u_hi = np.uint64((u >> 32) & 0xFFFFFFFF)
-    with np.errstate(over="ignore"):
-        ll = v_lo * u_lo
-        lh = v_lo * u_hi
-        hl = v_hi * u_lo
-        hh = v_hi * u_hi
-        carry = ((ll >> np.uint64(32)) + (lh & lo32) + (hl & lo32)) >> np.uint64(32)
-        out = hh + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + carry
-    return out
+    """Vectorised Lemire reduction ``(v * u) >> 64`` for uint64 ``v``.
+
+    Exact.  For ``u = 2^k - 1`` (the default universe is ``2^61 - 1``)
+    ``v * u = v * 2^k - v``, whose high word is ``v >> (64 - k)`` less a
+    borrow when the low word ``v << k`` (mod 2^64) is below ``v``: four
+    ufuncs.  Otherwise a 128-bit multiply-high from 32-bit halves.
+    """
+    if u & (u + 1) == 0:
+        k = u.bit_length()
+        borrow = (v << np.uint64(k)) < v
+        out = v >> np.uint64(64 - k)
+        out -= borrow
+        return out
+    v_lo, v_hi = v & _LO32, v >> _S32
+    u_lo, u_hi = np.uint64(u & 0xFFFFFFFF), np.uint64(u >> 32)
+    lh, hl = v_lo * u_hi, v_hi * u_lo
+    carry = ((v_lo * u_lo >> _S32) + (lh & _LO32) + (hl & _LO32)) >> _S32
+    return v_hi * u_hi + (lh >> _S32) + (hl >> _S32) + carry
 
 
 class MemoisedIdealHash(HashFunction):

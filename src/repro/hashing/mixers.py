@@ -18,6 +18,9 @@ MERSENNE61 = (1 << 61) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# The same constants as numpy words, built once (hot per-batch path).
+_GAMMA_U64, _MIX1_U64, _MIX2_U64 = map(np.uint64, (_SPLITMIX_GAMMA, _MIX1, _MIX2))
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def splitmix64(x: int) -> int:
@@ -29,13 +32,16 @@ def splitmix64(x: int) -> int:
 
 
 def splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`splitmix64` over a ``uint64`` array."""
+    """Vectorised :func:`splitmix64` over a ``uint64`` array (in place on
+    a copy; array ufuncs wrap modulo 2^64 without overflow warnings)."""
     x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x += np.uint64(_SPLITMIX_GAMMA)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    x += _GAMMA_U64
+    x ^= x >> _S30
+    x *= _MIX1_U64
+    x ^= x >> _S27
+    x *= _MIX2_U64
+    x ^= x >> _S31
+    return x
 
 
 def mix_seed(seed: int, key: int) -> int:

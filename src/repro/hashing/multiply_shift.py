@@ -12,8 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .base import HashFunction
-from .ideal import _mulhi_reduce
+from .ideal import _reduce_words
 from .mixers import MASK64, splitmix64
+
+_S29, _S32 = np.uint64(29), np.uint64(32)
 
 
 class MultiplyShiftHash(HashFunction):
@@ -23,6 +25,7 @@ class MultiplyShiftHash(HashFunction):
         super().__init__(u, seed)
         self.a = (splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5) | 1) & MASK64
         self.a2 = (splitmix64(seed + 0x1234567) | 1) & MASK64
+        self._a_words = np.uint64(self.a), np.uint64(self.a2)
 
     def hash(self, key: int) -> int:
         self._check_key(key)
@@ -38,12 +41,10 @@ class MultiplyShiftHash(HashFunction):
         return (v * self.u) >> 64
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
-        v = np.asarray(keys, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            v = v * np.uint64(self.a)
-            v = v ^ (v >> np.uint64(29))
-            v = v * np.uint64(self.a2)
-            v = v ^ (v >> np.uint64(32))
-        if self.u & (self.u - 1) == 0:
-            return v & np.uint64(self.u - 1)
-        return _mulhi_reduce(v, self.u)
+        a, a2 = self._a_words
+        v = np.array(keys, dtype=np.uint64)
+        v *= a
+        v ^= v >> _S29
+        v *= a2
+        v ^= v >> _S32
+        return _reduce_words(v, self.u)

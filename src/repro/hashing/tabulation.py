@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import HashFunction
-from .ideal import _mulhi_reduce
+from .ideal import _reduce_words
 
 
 class TabulationHash(HashFunction):
@@ -55,6 +55,4 @@ class TabulationHash(HashFunction):
         for c in range(self.chars):
             idx = (k >> np.uint64(c * self.char_bits)) & mask
             v ^= self.tables[c][idx.astype(np.int64)]
-        if self.u & (self.u - 1) == 0:
-            return v & np.uint64(self.u - 1)
-        return _mulhi_reduce(v, self.u)
+        return _reduce_words(v, self.u)

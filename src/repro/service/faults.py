@@ -149,9 +149,11 @@ class BackendDecorator(StorageBackend):
     The nine data-path primitives — reads ``fetch``, ``records``,
     ``records_arr``, ``contains_key``; writes ``commit``, ``append``,
     ``replace``, ``drain``, ``remove_key`` — hand :meth:`_guard` their
-    kind, block id and the inner call.  Lifecycle and introspection
-    calls (``create``, ``delete``, ``length`` ...) pass straight
-    through: faults model the data path, not the allocator.
+    kind, block id and the inner call; ``contains_keys`` keeps the base
+    loop over ``contains_key``, one guarded read per probed block.
+    Lifecycle and introspection calls (``create``, ``delete``,
+    ``length`` ...) pass straight through: faults model the data path,
+    not the allocator.
     """
 
     def __init__(self, inner: StorageBackend) -> None:

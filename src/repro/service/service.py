@@ -520,18 +520,7 @@ class DictionaryService:
         t0 = time.perf_counter()
         if self.rebalancer is not None:
             self._epoch_slot_ops = np.zeros(self.directory.slots, dtype=np.int64)
-        ins_groups = self._kind_groups(epoch.insert_keys, None)
-        del_groups = self._kind_groups(epoch.delete_keys, epoch.delete_pos)
-        look_groups = self._kind_groups(epoch.lookup_keys, epoch.lookup_pos)
-        work: dict[int, list] = {}
-        for shard, arr, _ in ins_groups:
-            work.setdefault(shard, [None, None, None, None, None])[0] = arr
-        for shard, arr, pos in del_groups:
-            slot = work.setdefault(shard, [None, None, None, None, None])
-            slot[1], slot[2] = arr, pos
-        for shard, arr, pos in look_groups:
-            slot = work.setdefault(shard, [None, None, None, None, None])
-            slot[3], slot[4] = arr, pos
+        work = self._route(epoch)
         shard_order = sorted(work)
         thunks = [
             self._shard_thunk(self._tables[shard], work[shard], shard)
@@ -601,31 +590,42 @@ class DictionaryService:
 
         return thunk
 
-    def _kind_groups(
-        self, arr: np.ndarray, pos: np.ndarray | None
-    ) -> list[tuple[int, np.ndarray, np.ndarray | None]]:
-        """Stable shard split of one kind's keys (+ stream positions).
+    def _route(self, epoch: Epoch) -> dict[int, list]:
+        """Stable shard split of the epoch: ``{shard: [ins, dels, dpos,
+        looks, lpos]}``, ``None`` where a shard has no op of a kind.
 
-        Routed through the slot directory (one ``hash_array`` call, one
-        slot-map gather); with the static map this reproduces
-        ``hash % shards`` exactly.  When the rebalancer is on, the slot
-        ids are also tallied into the epoch's per-slot op counts — the
-        load signal :meth:`_maybe_rebalance` feeds it.
+        One ``hash_array`` call, slot-map gather and stable partition
+        over the epoch's keys, concatenated insert, delete, lookup, so
+        each shard's ascending positions split into its three in-order
+        subsequences; the static map reproduces ``hash % shards``.  With
+        the rebalancer on, the slot ids are tallied into the epoch's
+        per-slot op counts, the load signal of :meth:`_maybe_rebalance`.
         """
-        if len(arr) == 0:
-            return []
+        keys = np.concatenate([epoch.insert_keys, epoch.delete_keys, epoch.lookup_keys])
+        if not len(keys):
+            return {}
+        n_ins = len(epoch.insert_keys)
+        pos = np.concatenate([np.zeros(n_ins, int), epoch.delete_pos, epoch.lookup_pos])
+        cuts = [n_ins, n_ins + len(epoch.delete_keys)]
         if self.shards == 1:
-            return [(0, arr, pos)]
-        slots = self.directory.slots_of(arr)
-        if self.rebalancer is not None:
-            self._epoch_slot_ops += np.bincount(
-                slots, minlength=self.directory.slots
-            )
-        idx = self.directory.slot_map[slots]
-        return [
-            (shard, arr[group], pos[group] if pos is not None else None)
-            for shard, group in partition_positions(idx)
-        ]
+            parts = [(0, np.arange(len(keys)))]
+        else:
+            slots = self.directory.slots_of(keys)
+            if self.rebalancer is not None:
+                self._epoch_slot_ops += np.bincount(
+                    slots, minlength=self.directory.slots
+                )
+            parts = partition_positions(self.directory.slot_map[slots])
+        work: dict[int, list] = {}
+        for shard, group in parts:
+            ins, dels, looks = np.split(group, np.searchsorted(group, cuts))
+            work[shard] = [
+                values[at] if len(at) else None
+                for values, at in (
+                    (keys, ins), (keys, dels), (pos, dels), (keys, looks), (pos, looks)
+                )
+            ]
+        return work
 
     def _ledger_marks(self) -> list[tuple[IOSnapshot, CacheStats | None]]:
         """Every shard's ``(I/O, cache)`` counters now, shard order.

@@ -33,7 +33,12 @@ Two further axes ride on top since the pluggable-backend PR:
   router, see ``_cache_state``), after every ``lookup_batch``.  The
   Theorem 2 and log-method tables answer cached
   batches vectorised, replaying the scalar walk's block ids through the
-  pool, so this pins the replay order.
+  pool, so this pins the replay order;
+* **small batches** — 1, 3 and 45 lookups against those two tables
+  past the bootstrap, with non-empty levels, chains in Ĥ and in a level
+  (cramped) or up to six blocks deep (log-method), take the
+  address-then-gather walk; costs, the pending RMW block and the pool
+  must match the scalar lookups.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from repro.baselines.buffer_tree import BufferTree
 from repro.baselines.lsm import LSMTree
 from repro.core.buffered import BufferedHashTable
 from repro.core.logmethod import LogMethodHashTable
-from repro.em import PAPER_POLICY, STRICT_POLICY, CachedDisk, make_context
+from repro.em import PAPER_POLICY, STRICT_POLICY, CachedDisk, Disk, make_context
 from repro.hashing.family import MULTIPLY_SHIFT
 from repro.tables import (
     ChainedHashTable,
@@ -303,6 +308,84 @@ def test_cached_parity_catches_a_misordered_replay(name, monkeypatch):
     with pytest.raises(AssertionError, match="pending RMW"):
         _run_pair(factory, roomy, PAPER_POLICY, keys, probe, chunks=3,
                   cache_blocks=2)
+
+
+def _logmethod_deep(ctx):
+    """One base bucket: every level's buckets chain several blocks deep."""
+    return LogMethodHashTable(ctx, MULTIPLY_SHIFT.sample(ctx.u, seed=7), base_buckets=1)
+
+
+#: (factory, context kwargs, keys inserted) per shape: past the
+#: bootstrap with non-empty levels; the cramped shapes also chain
+#: buckets in Ĥ and in a level, the deep one by up to six blocks
+#: (asserted, so the cases cannot go stale).
+SMALL_BATCH_SHAPES = {
+    "buffered-roomy": (_buffered, dict(b=32, m=128), 2500),
+    "buffered-cramped": (_buffered, dict(b=4, m=128), 2500),
+    "logmethod-roomy": (_logmethod, dict(b=32, m=512), 1800),
+    "logmethod-cramped": (_logmethod, dict(b=4, m=128), 1800),
+    "logmethod-deep": (_logmethod_deep, dict(b=4, m=64), 1000),
+}
+
+
+def _walk_rows(table):
+    """(Ĥ buckets or None, non-empty level bucket rows) of a table."""
+    if isinstance(table, BufferedHashTable):
+        assert not table._bootstrapping
+        return table._hhat, [table._recent._levels[k - 1].buckets
+                             for k in table._recent.nonempty_levels()]
+    return None, [table._levels[k - 1].buckets for k in table.nonempty_levels()]
+
+
+@pytest.mark.parametrize("cache_blocks", [0, 2, 48])
+@pytest.mark.parametrize("shape", sorted(SMALL_BATCH_SHAPES))
+def test_small_batches_take_the_gather_walk(shape, cache_blocks, monkeypatch):
+    """Batches of 1, 3 and 45 keys probe each key's own block per row
+    (``Disk.keys_in``) and must charge, cost and leave the pending RMW
+    block and the pool exactly as the scalar lookups do."""
+    gathers = []
+    keys_in = Disk.keys_in
+
+    def spy(disk, block_ids, keys):
+        gathers.append(len(keys))
+        return keys_in(disk, block_ids, keys)
+
+    factory, ctx_kwargs, n_keys = SMALL_BATCH_SHAPES[shape]
+    rnd = random.Random(83)
+    keys = rnd.sample(range(10**12), n_keys)
+    pool = keys[::2] + rnd.sample(range(10**12), n_keys // 4)
+    ctx_s, ctx_b = (
+        make_context(cache_blocks=cache_blocks, hard_memory=False, **ctx_kwargs)
+        for _ in range(2)
+    )
+    table_s, table_b = factory(ctx_s), factory(ctx_b)
+    table_s.insert_many(keys)
+    table_b.insert_batch(keys)
+    head, levels = _walk_rows(table_b)
+    assert levels, "no non-empty level: the walk would not reach one"
+    if not shape.endswith("roomy"):
+        assert head is None or any(bkt._chain for bkt in head)
+        assert any(bkt._chain for row in levels for bkt in row)
+    if shape.endswith("deep"):
+        assert max(bkt.chain_length for row in levels for bkt in row) >= 5
+    monkeypatch.setattr(Disk, "keys_in", spy)
+    for size, batches in ((1, 40), (3, 30), (45, 8)):
+        del gathers[:]
+        for _ in range(batches):
+            batch = rnd.sample(pool, size)
+            expected, expected_costs = [], []
+            for k in batch:
+                before = ctx_s.stats.snapshot()
+                expected.append(table_s.lookup(k))
+                expected_costs.append(ctx_s.stats.delta_since(before).total)
+            costs: list[int] = []
+            assert table_b.lookup_batch(batch, cost_out=costs).tolist() == expected
+            assert costs == expected_costs
+            assert ctx_b.stats._last_read_block == ctx_s.stats._last_read_block
+            if cache_blocks:
+                assert _cache_state(ctx_s, table_s) == _cache_state(ctx_b, table_b)
+        assert gathers and max(gathers) <= size, "the walk never gathered"
+    _assert_same(_state(ctx_s, table_s), _state(ctx_b, table_b), "small batches")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -124,6 +124,30 @@ class TestArena:
         assert view.base is not None  # zero-copy into the arena matrix
         assert view.tolist() == [5, 6]
 
+    def test_contains_keys_gather_ignores_stale_records(self):
+        """The row gather answers exactly like per-pair ``contains_key``:
+        records left past a block's length by a removal, a drain or a
+        shorter replace never count, nor does an empty block."""
+        arena = ArenaBackend(8)
+        arena.create_many(range(4))
+        arena.append(0, [1, 2, 3, 4])
+        assert arena.remove_key(0, 4)  # 4 stays in the row, past the length
+        arena.append(1, [5, 6])
+        arena.replace(1, [7])  # 6 is stale
+        arena.append(2, [8])
+        arena.drain(2)  # 8 is stale in an empty block
+        arena.append(3, [9, 9, 2])
+        block_ids = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3, 3], dtype=np.int64)
+        keys = np.array([1, 3, 4, 7, 6, 8, 0, 9, 2, 4], dtype=np.uint64)
+        got = arena.contains_keys(block_ids, keys)
+        assert got.tolist() == [
+            arena.contains_key(b, k) for b, k in zip(block_ids.tolist(), keys.tolist())
+        ]
+        assert got.tolist() == [True, True, False, True, False, False, False,
+                                True, True, False]
+        assert arena.contains_keys(block_ids[5:7], keys[5:7]).tolist() == [False] * 2
+        assert arena.contains_keys(block_ids[:0], keys[:0]).tolist() == []
+
     def test_odd_record_widths_fall_back(self):
         arena = ArenaBackend(8, record_words=1)
         arena.create(0, record_words=2)
@@ -132,6 +156,12 @@ class TestArena:
         blk.extend([1, 2, 3, 4])
         arena.commit(0, blk)
         assert arena.records(0) == [1, 2, 3, 4]
+        arena.create(1)
+        arena.append(1, [5])
+        ids = np.array([0, 1, 0], dtype=np.int64)
+        keys = np.array([3, 5, 5], dtype=np.uint64)
+        assert arena.contains_keys(ids, keys).tolist() == [True, True, False]
+        arena.delete(1)
         assert arena.words_stored() == 8
         assert arena.nonempty() == 1
         arena.delete(0)

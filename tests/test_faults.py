@@ -61,12 +61,20 @@ def _contents(backend):
     return {bid: backend.records(bid) for bid in sorted(backend.ids())}
 
 
+def _ids(*values):
+    return np.array(values, dtype=np.uint64)
+
+
 #: Every faultable data-path primitive: its fault kind and one call.
 DATA_PATH = {
     "fetch": ("read", lambda be: be.fetch(0).records()),
     "records": ("read", lambda be: be.records(0)),
     "records_arr": ("read", lambda be: be.records_arr(0).tolist()),
     "contains_key": ("read", lambda be: be.contains_key(0, 5)),
+    "contains_keys": (
+        "read",
+        lambda be: be.contains_keys(_ids(0), _ids(5)).tolist(),
+    ),
     "commit": ("write", lambda be: be.commit(1, Block(8, data=[9]))),
     "append": ("write", lambda be: be.append(1, [9, 11])),
     "replace": ("write", lambda be: be.replace(0, [2, 4])),
@@ -129,6 +137,24 @@ class TestDecoratorRouting:
         assert call(retrier) == call(twin)
         assert (faulty.injected, retrier.retries, faulty.clock.ops) == (1, 1, 2)
         assert _contents(faulty.inner) == _contents(twin)
+
+    def test_contains_keys_ticks_once_per_probed_block(self):
+        """A multi-block probe is one read per block, in probe order, and
+        a one-op burst on any of them heals under the retry layer."""
+        blocks, keys = _ids(0, 1, 0, 0), _ids(5, 5, 4, 7)
+        expected = [True, False, False, True]
+        trace: list[str] = []
+        faulty = FaultInjectingBackend(_filled(), trace=trace)
+        assert faulty.contains_keys(blocks, keys).tolist() == expected
+        assert (faulty.clock.ops, trace) == (4, ["read"] * 4)
+        faulty = FaultInjectingBackend(
+            _filled(), schedule=FaultSchedule(read_faults={3: 1})
+        )
+        retrier = RetryingBackend(
+            faulty, policy=RetryPolicy(max_retries=1, backoff_s=0)
+        )
+        assert retrier.contains_keys(blocks, keys).tolist() == expected
+        assert (faulty.injected, retrier.retries, faulty.clock.ops) == (1, 1, 5)
 
     @pytest.mark.parametrize("method", ["append", "replace"])
     def test_crash_tears_multi_record_writes_only(self, method):

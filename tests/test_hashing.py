@@ -1,17 +1,20 @@
 """Unit tests for the hash-function families and mixers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.hashing.family import (
     CARTER_WEGMAN,
+    FAMILIES,
     IDEAL,
     MEMOISED_IDEAL,
     MULTIPLY_SHIFT,
     TABULATION,
     get_family,
 )
-from repro.hashing.ideal import IdealHash, MemoisedIdealHash
+from repro.hashing.ideal import IdealHash, MemoisedIdealHash, _mulhi_reduce
 from repro.hashing.mixers import (
     is_probable_prime,
     mix_seed,
@@ -199,3 +202,49 @@ class TestSpecificFamilies:
     def test_tabulation_memory_words(self):
         h = TabulationHash(2**61 - 1, seed=1)
         assert h.memory_words() > 0
+
+
+#: Words at the edges of the 64-bit range and of the 32-bit halves.
+EDGE_WORDS = [0, 1, 7, 8, 2**63, 2**64 - 8, 2**64 - 1]
+
+
+class TestExactVectorisedHashing:
+    """Hash values fix every table layout: the vectorised forms must equal
+    the scalar ones word for word, and must not warn."""
+
+    @pytest.mark.parametrize(
+        "u",
+        # Mersenne forms (2^64 - 1 shifts by the full word width, which
+        # numpy defines as 0), then two general universes.
+        [2**61 - 1, 2**31 - 1, 2**64 - 1, 10**9 + 7, 3 * 2**40],
+    )
+    def test_mulhi_reduce_is_the_exact_high_word(self, u):
+        rng = np.random.default_rng(u % 2**32)
+        words = np.concatenate(
+            [
+                np.array(EDGE_WORDS, dtype=np.uint64),
+                rng.integers(0, 2**64, 10**4, dtype=np.uint64),
+            ]
+        )
+        before = words.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _mulhi_reduce(words, u)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [(v * u) >> 64 for v in words.tolist()]
+        assert np.array_equal(words, before)
+
+    @pytest.mark.parametrize("u", [2**61 - 1, 10**9 + 7])
+    @pytest.mark.parametrize("size", [0, 1, 40, 65536])
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_hash_array_is_the_scalar_loop(self, name, size, u):
+        h = FAMILIES[name].sample(u, seed=5)
+        keys = np.random.default_rng(size).integers(0, u, size, dtype=np.uint64)
+        keys[: min(size, 2)] = [0, u - 1][: min(size, 2)]
+        before = keys.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = h.hash_array(keys)
+        assert got.dtype == np.uint64 and got.shape == keys.shape
+        assert got.tolist() == [h.hash(k) for k in keys.tolist()]
+        assert np.array_equal(keys, before)
