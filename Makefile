@@ -11,6 +11,7 @@ help:
 	@echo "  make test          tier-1 verification: PYTHONPATH=src python -m pytest tests/ -x -q"
 	@echo "                     (includes the crash-recovery chaos suite)"
 	@echo "  make test-fast     quick subset: tables + parity + EM layer + hashing"
+	@echo "                     + the pinned paper points (tests/test_paper_claims.py)"
 	@echo "  make chaos-test    crash-point matrix only: journal/recovery/fault-injection"
 	@echo "  make overload-test open-loop traffic + admission/shedding/breaker invariants"
 	@echo "  make obs-test      observability: trace framing/determinism, metrics, relabelling"
@@ -32,13 +33,15 @@ test:
 ## buffer-pool unit tests, the cached-vs-uncached relabelling contract,
 ## the skew-routing contracts: slot directory, rebalancer policy,
 ## migration journal, generator determinism — and the observability
-## contracts: trace framing/determinism, metrics folding, relabelling).
+## contracts: trace framing/determinism, metrics folding, relabelling —
+## and the reproduced paper points pinned to their exact charged I/Os).
 test-fast:
 	$(PY) -m pytest tests/test_batch_parity.py tests/test_em_disk.py \
 	    tests/test_em_iostats.py tests/test_em_cache.py \
 	    tests/test_cache_axis.py tests/test_buffered.py \
 	    tests/test_logmethod.py tests/test_rebalance.py \
-	    tests/test_obs.py tests/test_hashing.py -q
+	    tests/test_obs.py tests/test_hashing.py \
+	    tests/test_paper_claims.py -q
 
 ## Crash-consistency only: the chaos matrix (crash at every epoch
 ## boundary + sampled intra-epoch backend ops, per policy x backend,

@@ -16,70 +16,16 @@ crosses ``1 + Θ(1/b)``.
 
 from __future__ import annotations
 
-from repro.em import make_context
-from repro.hashing.family import MULTIPLY_SHIFT
 from repro.analysis.tradeoff_curves import render_figure1, tradeoff_table
-from repro.core.buffered import BufferedHashTable
-from repro.core.config import BufferedParams
-from repro.core.jensen_pagh import JensenPaghTable
-from repro.core.tradeoff import crossover_exponent, figure1_curves
-from repro.tables.chaining import ChainedHashTable
-from repro.workloads.drivers import measure_table
+from repro.core.tradeoff import crossover_exponent
+
+from paper_points import figure1_points
 
 from conftest import emit, once
 
-B, M, N, U = 64, 512, 6000, 2**40
-
-
-def ctx_factory():
-    return make_context(b=B, m=M, u=U)
-
-
-def chaining_factory(c):
-    return ChainedHashTable(
-        c, MULTIPLY_SHIFT.sample(c.u, 21), buckets=2 * N // B, max_load=None
-    )
-
-
-def buffered_factory(exponent):
-    def make(c):
-        return BufferedHashTable(
-            c,
-            MULTIPLY_SHIFT.sample(c.u, 21),
-            params=BufferedParams.for_query_exponent(B, exponent),
-        )
-
-    return make
-
-
-def epsilon_factory(c):
-    return BufferedHashTable(
-        c,
-        MULTIPLY_SHIFT.sample(c.u, 21),
-        params=BufferedParams.for_insert_budget(B, 0.5),
-    )
-
 
 def build_figure():
-    curves = figure1_curves(B, N, M)
-    std = measure_table(ctx_factory, chaining_factory, N, seed=1)
-    # The standard table realises any c > 1 target; plot it at c = 2.
-    curves.add_measured(2.0, std.t_q, std.t_u, "standard chaining")
-    for c in (0.25, 0.5, 0.75):
-        m = measure_table(ctx_factory, buffered_factory(c), N, seed=1)
-        curves.add_measured(c, m.t_q, m.t_u, f"buffered β=b^{c}")
-    eps = measure_table(ctx_factory, epsilon_factory, N, seed=1)
-    curves.add_measured(1.0, eps.t_q, eps.t_u, "buffered ε-insert")
-    # Jensen–Pagh [12]: queries 1 + O(1/√b) without buffering — the
-    # c = 0.5 point on the *unbuffered* frontier the paper improves on.
-    jp = measure_table(
-        ctx_factory,
-        lambda c: JensenPaghTable(c, MULTIPLY_SHIFT.sample(c.u, 21)),
-        N,
-        seed=1,
-    )
-    curves.add_measured(0.5, jp.t_q, jp.t_u, "Jensen-Pagh [12]")
-    return curves
+    return figure1_points()[0]
 
 
 def test_figure1(benchmark):

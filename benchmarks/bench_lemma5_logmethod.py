@@ -13,40 +13,18 @@ o(1)-insert world.
 
 from __future__ import annotations
 
-import math
-
-from repro.em import make_context
-from repro.hashing.family import MULTIPLY_SHIFT
-from repro.core.logmethod import LogMethodHashTable
-from repro.workloads.drivers import measure_query_cost
-from repro.workloads.generators import UniformKeys
+from paper_points import (
+    LEM5_GAMMAS,
+    LEM5_SIZES,
+    lemma5_gamma_point,
+    lemma5_size_point,
+)
 
 from conftest import emit, once
 
-B, M, N, U = 64, 512, 8000, 2**40
-
-
-def run_gamma(gamma: int):
-    ctx = make_context(b=B, m=M, u=U)
-    h = MULTIPLY_SHIFT.sample(ctx.u, seed=51)
-    t = LogMethodHashTable(ctx, h, gamma=gamma)
-    keys = UniformKeys(ctx.u, seed=52).take(N)
-    t.insert_many(keys)
-    insert_tu = ctx.io_total() / N
-    tq = measure_query_cost(t, keys, sample_size=800, seed=53).mean
-    log_term = math.log(N / M, 2)
-    return {
-        "gamma": gamma,
-        "t_u": round(insert_tu, 4),
-        "t_u_model": round(gamma / B * log_term, 4),
-        "t_q": round(tq, 3),
-        "t_q_model_levels": round(math.log(N / M, gamma), 2),
-        "levels": len(t.nonempty_levels()),
-    }
-
 
 def test_lemma5(benchmark):
-    rows = once(benchmark, lambda: [run_gamma(g) for g in (2, 4, 8, 16)])
+    rows = once(benchmark, lambda: [lemma5_gamma_point(g)[0] for g in LEM5_GAMMAS])
     emit("Lemma 5: logarithmic method, γ sweep", rows)
 
     # Every configuration inserts in o(1) — the folklore win.
@@ -65,18 +43,7 @@ def test_lemma5(benchmark):
 
 def test_lemma5_scaling_in_n(benchmark):
     """Insert cost grows like log(n/m): doubling n adds ≈ (γ/b) per item."""
-
-    def sweep():
-        out = []
-        for n in (2000, 4000, 8000, 16000):
-            ctx = make_context(b=B, m=M, u=U)
-            h = MULTIPLY_SHIFT.sample(ctx.u, seed=54)
-            t = LogMethodHashTable(ctx, h, gamma=2)
-            t.insert_many(UniformKeys(ctx.u, seed=55).take(n))
-            out.append({"n": n, "t_u": round(ctx.io_total() / n, 4)})
-        return out
-
-    rows = once(benchmark, sweep)
+    rows = once(benchmark, lambda: [lemma5_size_point(n)[0] for n in LEM5_SIZES])
     emit("Lemma 5: t_u vs n (log(n/m) growth)", rows)
     tus = [r["t_u"] for r in rows]
     # Monotone-ish growth, and still o(1) at the largest n.
@@ -87,4 +54,4 @@ def test_lemma5_scaling_in_n(benchmark):
 if __name__ == "__main__":
     from repro.analysis.tradeoff_curves import format_rows
 
-    print(format_rows([run_gamma(g) for g in (2, 4, 8, 16)]))
+    print(format_rows([lemma5_gamma_point(g)[0] for g in LEM5_GAMMAS]))

@@ -16,43 +16,15 @@ essentially nothing once queries must be this fast.
 
 from __future__ import annotations
 
-from repro.em import make_context
-from repro.hashing.family import MEMOISED_IDEAL
-from repro.core.config import LowerBoundParams, insertion_lower_bound
-from repro.lowerbound.adversary import run_adversary
-from repro.tables.chaining import ChainedHashTable
+from paper_points import THM1_CASE1_EXPONENTS, thm1_case1_point
 
 from conftest import emit, once
 
-B, N, U = 16, 4000, 2**40
-
-
-def run_case(c: float):
-    ctx = make_context(b=B, m=2 * N + 64, u=U)
-    h = MEMOISED_IDEAL.sample(ctx.u, seed=31)
-    # Fixed-capacity table sized so nearly every item is one I/O away
-    # (load ≈ 1/4) — the hash table the case-1 target forces.
-    table = ChainedHashTable(ctx, h, buckets=N // 4, max_load=None)
-    params = LowerBoundParams.case1(B, N, c)
-    # The paper's asymptotic round size collapses at toy scale; keep the
-    # proof's structure with a round size that yields ≥ 6 rounds.
-    params = LowerBoundParams(
-        delta=params.delta, phi=max(params.phi, 0.05), rho=1 / (N // 4),
-        s=max(params.s, N // 10), case=1,
-    )
-    report = run_adversary(table, ctx, params, N, seed=int(c * 100))
-    return {
-        "c": c,
-        "t_u_bound": round(insertion_lower_bound(B, c), 4),
-        "t_u_certified": round(report.certified_tu, 4),
-        "t_u_actual": round(report.measured_tu, 4),
-        "rounds": len(report.rounds),
-        "mean_query_lb": round(report.mean_query_lb, 4),
-    }
-
 
 def test_theorem1_case1(benchmark):
-    rows = once(benchmark, lambda: [run_case(c) for c in (1.25, 1.5, 2.0)])
+    rows = once(
+        benchmark, lambda: [thm1_case1_point(c)[0] for c in THM1_CASE1_EXPONENTS]
+    )
     emit("Theorem 1 case 1 (buffering is useless for c > 1)", rows)
     for row in rows:
         # The proof's accounting captures ≥ 70% of each insert even at
@@ -67,4 +39,4 @@ def test_theorem1_case1(benchmark):
 if __name__ == "__main__":
     from repro.analysis.tradeoff_curves import format_rows
 
-    print(format_rows([run_case(c) for c in (1.25, 1.5, 2.0)]))
+    print(format_rows([thm1_case1_point(c)[0] for c in THM1_CASE1_EXPONENTS]))

@@ -11,41 +11,15 @@ insert cost to a constant.
 
 from __future__ import annotations
 
-from repro.em import make_context
-from repro.hashing.family import MEMOISED_IDEAL
-from repro.core.config import LowerBoundParams
-from repro.lowerbound.adversary import run_adversary
-from repro.lowerbound.bounds import round_bound
-from repro.tables.chaining import ChainedHashTable
+from paper_points import THM1_CASE2_KAPPAS, thm1_case2_point
 
 from conftest import emit, once
 
-B, N, U = 16, 4000, 2**40
-
-
-def run_kappa(kappa: float):
-    ctx = make_context(b=B, m=2 * N + 64, u=U)
-    h = MEMOISED_IDEAL.sample(ctx.u, seed=37)
-    table = ChainedHashTable(ctx, h, buckets=N // 4, max_load=None)
-    params = LowerBoundParams.case2(B, N, kappa)
-    params = LowerBoundParams(
-        delta=params.delta, phi=params.phi, rho=1 / (N // 4),
-        s=max(params.s, 50), case=2,
-    )
-    report = run_adversary(table, ctx, params, N, seed=int(kappa * 10))
-    rb = round_bound(params, N, 2 * N + 64, B)
-    return {
-        "kappa": kappa,
-        "s": params.s,
-        "round_bound_frac": round(rb.expected_round_cost / params.s, 4),
-        "t_u_certified": round(report.certified_tu, 4),
-        "t_u_actual": round(report.measured_tu, 4),
-        "rounds": len(report.rounds),
-    }
-
 
 def test_theorem1_case2(benchmark):
-    rows = once(benchmark, lambda: [run_kappa(k) for k in (2.0, 4.0, 8.0)])
+    rows = once(
+        benchmark, lambda: [thm1_case2_point(k)[0] for k in THM1_CASE2_KAPPAS]
+    )
     emit("Theorem 1 case 2 (t_q = 1 + Θ(1/b) boundary: t_u = Ω(1))", rows)
     for row in rows:
         assert row["t_u_certified"] > 0.5, row  # Ω(1), with a real constant
@@ -56,4 +30,4 @@ def test_theorem1_case2(benchmark):
 if __name__ == "__main__":
     from repro.analysis.tradeoff_curves import format_rows
 
-    print(format_rows([run_kappa(k) for k in (2.0, 4.0, 8.0)]))
+    print(format_rows([thm1_case2_point(k)[0] for k in THM1_CASE2_KAPPAS]))

@@ -16,33 +16,15 @@ from __future__ import annotations
 
 import math
 
-from repro.em import make_context
-from repro.hashing.family import MULTIPLY_SHIFT
-from repro.core.buffered import BufferedHashTable
-from repro.core.config import BufferedParams, insertion_lower_bound
-from repro.workloads.generators import UniformKeys
+from paper_points import THM1_CASE3_BLOCKS, THM1_CASE3_C as C, thm1_case3_point
 
 from conftest import emit, once
 
-N, U, C = 6000, 2**40, 0.5
-
-
-def run_b(b: int):
-    ctx = make_context(b=b, m=8 * b, u=U)
-    h = MULTIPLY_SHIFT.sample(ctx.u, seed=41)
-    t = BufferedHashTable(ctx, h, params=BufferedParams.for_query_exponent(b, C))
-    t.insert_many(UniformKeys(ctx.u, seed=42).take(N))
-    return {
-        "b": b,
-        "beta": t.beta,
-        "t_u_lower": round(insertion_lower_bound(b, C), 5),
-        "t_u_measured": round(ctx.io_total() / N, 5),
-    }
-
 
 def test_theorem1_case3_scaling(benchmark):
-    bs = (32, 64, 128, 256)
-    rows = once(benchmark, lambda: [run_b(b) for b in bs])
+    rows = once(
+        benchmark, lambda: [thm1_case3_point(b)[0] for b in THM1_CASE3_BLOCKS]
+    )
     emit(f"Theorem 1 case 3 / Theorem 2 match at c={C} (t_u = Θ(b^(c-1)))", rows)
 
     for row in rows:
@@ -65,4 +47,4 @@ def test_theorem1_case3_scaling(benchmark):
 if __name__ == "__main__":
     from repro.analysis.tradeoff_curves import format_rows
 
-    print(format_rows([run_b(b) for b in (32, 64, 128, 256)]))
+    print(format_rows([thm1_case3_point(b)[0] for b in THM1_CASE3_BLOCKS]))

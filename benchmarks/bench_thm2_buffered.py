@@ -17,46 +17,22 @@ from :class:`BufferedParams`; the query excess falls as ``1/β``.
 
 from __future__ import annotations
 
-from repro.em import make_context
-from repro.em.iostats import STRICT_POLICY
-from repro.hashing.family import MEMOISED_IDEAL, MULTIPLY_SHIFT, TABULATION
-from repro.core.buffered import BufferedHashTable
-from repro.core.config import BufferedParams
-from repro.workloads.drivers import measure_query_cost
-from repro.workloads.generators import UniformKeys
+from paper_points import (
+    thm2_epsilon_points,
+    thm2_exponent_points,
+    thm2_family_points,
+    thm2_policy_points,
+)
 
 from conftest import emit, once
 
-B, M, N, U = 64, 512, 6000, 2**40
 
-
-def run(params: BufferedParams, *, family=MULTIPLY_SHIFT, policy=None, label=""):
-    ctx = make_context(b=B, m=M, u=U, policy=policy)
-    h = family.sample(ctx.u, seed=61)
-    t = BufferedHashTable(ctx, h, params=params)
-    keys = UniformKeys(ctx.u, seed=62).take(N)
-    t.insert_many(keys)
-    tu = ctx.io_total() / N
-    tq = measure_query_cost(t, keys, sample_size=1000, seed=63).mean
-    return {
-        "label": label,
-        "beta": params.beta,
-        "t_u": round(tu, 4),
-        "t_u_model": round(params.predicted_insert_cost(B, N, M), 4),
-        "t_q": round(tq, 4),
-        "t_q_model": round(1 + params.predicted_query_excess(), 4),
-        "recent_frac": round(t.recent_fraction(), 4),
-    }
+def _rows(points):
+    return [row for row, _ in points]
 
 
 def test_theorem2_exponent_regime(benchmark):
-    def sweep():
-        return [
-            run(BufferedParams.for_query_exponent(B, c), label=f"c={c}")
-            for c in (0.25, 0.5, 0.75)
-        ]
-
-    rows = once(benchmark, sweep)
+    rows = once(benchmark, lambda: _rows(thm2_exponent_points()))
     emit("Theorem 2: β = b^c regime", rows)
     for row in rows:
         assert row["t_u"] < 1.0, row              # o(1)-side inserts
@@ -69,13 +45,7 @@ def test_theorem2_exponent_regime(benchmark):
 
 
 def test_theorem2_epsilon_regime(benchmark):
-    def sweep():
-        return [
-            run(BufferedParams.for_insert_budget(B, eps), label=f"eps={eps}")
-            for eps in (0.25, 0.5, 1.0)
-        ]
-
-    rows = once(benchmark, sweep)
+    rows = once(benchmark, lambda: _rows(thm2_epsilon_points()))
     emit("Theorem 2: t_u = ε regime (query 1 + O(1/b))", rows)
     for row in rows:
         assert row["t_q"] < 1.25, row
@@ -85,14 +55,7 @@ def test_theorem2_epsilon_regime(benchmark):
 
 
 def test_ablation_hash_family(benchmark):
-    def sweep():
-        params = BufferedParams(beta=8)
-        return [
-            run(params, family=fam, label=fam.name)
-            for fam in (MULTIPLY_SHIFT, TABULATION, MEMOISED_IDEAL)
-        ]
-
-    rows = once(benchmark, sweep)
+    rows = once(benchmark, lambda: _rows(thm2_family_points()))
     emit("Ablation A: hash-family sensitivity (β=8)", rows)
     tus = [r["t_u"] for r in rows]
     tqs = [r["t_q"] for r in rows]
@@ -101,14 +64,7 @@ def test_ablation_hash_family(benchmark):
 
 
 def test_ablation_io_policy(benchmark):
-    def sweep():
-        params = BufferedParams(beta=8)
-        return [
-            run(params, label="paper (rmw=1 I/O)"),
-            run(params, policy=STRICT_POLICY, label="strict (rmw=2 I/Os)"),
-        ]
-
-    rows = once(benchmark, sweep)
+    rows = once(benchmark, lambda: _rows(thm2_policy_points()))
     emit("Ablation B: footnote-2 I/O policy", rows)
     paper, strict = rows
     assert paper["t_u"] <= strict["t_u"] <= 2.2 * paper["t_u"], rows
@@ -119,11 +75,4 @@ def test_ablation_io_policy(benchmark):
 if __name__ == "__main__":
     from repro.analysis.tradeoff_curves import format_rows
 
-    print(
-        format_rows(
-            [
-                run(BufferedParams.for_query_exponent(B, c), label=f"c={c}")
-                for c in (0.25, 0.5, 0.75)
-            ]
-        )
-    )
+    print(format_rows(_rows(thm2_exponent_points())))

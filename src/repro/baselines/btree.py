@@ -139,34 +139,28 @@ class BTree(ExternalDictionary):
         """Vectorised grouped descent: route key groups down the tree.
 
         One ``searchsorted`` per visited node replaces the per-key
-        bisect, each node is decoded once per group (uncharged peek)
-        while every key in the group is charged the read the scalar
-        walk would make, and reads land in one bulk add.  Per-key costs
-        (depth until termination) and the pending read-modify-write
-        block are restored to the scalar walk's, so counters are
-        bit-identical to the per-key loop.
-
-        Cached runs take the scalar per-key walk instead: the bulk
-        branch charges reads wholesale without consulting the buffer
-        pool.
+        bisect, and each node is decoded once per group (uncharged
+        peek).  Every key in a group records the node read the scalar
+        walk would make, and :meth:`~repro.em.disk.Disk.charge_walk`
+        charges the recorded walk in scalar order, so counters, per-key
+        costs, the pending read-modify-write block and any buffer pool
+        end exactly where the per-key loop leaves them.
         """
-        if self.ctx.disk.cache is not None:
-            return super().lookup_batch(keys, cost_out=cost_out)
         key_list, arr = normalize_keys(keys)
         n = len(key_list)
         out = np.zeros(n, dtype=bool)
         self.stats.lookups += n
         if n == 0:
             return out
-        costs = np.zeros(n, dtype=np.int64)
         peek = self.ctx.disk.peek
-        stack: list[tuple[_Node, bool, np.ndarray]] = [
-            (self._root, True, np.arange(n))
+        rounds: list[tuple[np.ndarray, int]] = []
+        stack: list[tuple[_Node, int | None, np.ndarray]] = [
+            (self._root, None, np.arange(n))
         ]
         while stack:
-            node, is_root, pos = stack.pop()
-            if not is_root:
-                costs[pos] += 1
+            node, bid, pos = stack.pop()
+            if bid is not None:
+                rounds.append((pos, bid))
             karr = np.asarray(node.keys, dtype=np.uint64)
             sub = arr[pos]
             if karr.size:
@@ -185,30 +179,15 @@ class BTree(ExternalDictionary):
                 continue
             child_idx = idx[~hit]
             for j in np.unique(child_idx):
-                group = rest[child_idx == j]
-                child = _Node.from_block(peek(node.children[int(j)]))
-                stack.append((child, False, group))
-        total = int(costs.sum())
-        if total:
-            stats = self.ctx.stats
-            stats.reads += total
-            last = int(np.flatnonzero(costs > 0)[-1])
-            stats._last_read_block = self._final_probe_block(key_list[last])
+                child = node.children[int(j)]
+                stack.append(
+                    (_Node.from_block(peek(child)), child, rest[child_idx == j])
+                )
+        costs = self.ctx.disk.charge_walk(n, rounds)
         self.stats.hits += int(np.count_nonzero(out))
         if cost_out is not None:
             cost_out.extend(costs.tolist())
         return out
-
-    def _final_probe_block(self, key: int) -> int | None:
-        """The block id of ``key``'s last charged read (scalar walk)."""
-        node = self._root
-        last: int | None = None
-        while True:
-            i = bisect.bisect_left(node.keys, key)
-            if (i < len(node.keys) and node.keys[i] == key) or node.leaf:
-                return last
-            last = node.children[i]
-            node = _Node.from_block(self.ctx.disk.peek(last))
 
     # -- insert ------------------------------------------------------------
 

@@ -381,27 +381,21 @@ class BufferTree(ExternalDictionary):
         """Batched point queries: route key groups down the tree once.
 
         Keys are partitioned among children by one ``searchsorted`` per
-        node (replacing the per-key separator bisect), each buffer block
-        on a group's path is probed with one bulk membership scan, and
-        reads are charged in one bulk add.  Per-key charges replicate
-        the scalar walk exactly — a key pays one read per buffer block
-        until its hit, plus the leaf read — so I/O counters, per-query
-        ``cost_out`` and the pending read-modify-write block are
-        bit-identical to the per-key loop.
-
-        Cached runs take the scalar per-key walk instead: the bulk
-        branch charges reads wholesale without consulting the buffer
-        pool.
+        node (replacing the per-key separator bisect), and each buffer
+        block on a group's path is probed with one bulk membership scan.
+        Every key records the reads the scalar walk makes — one per
+        buffer block until its hit, plus the leaf — and
+        :meth:`~repro.em.disk.Disk.charge_walk` charges them in scalar
+        order, so counters, per-query ``cost_out``, the pending
+        read-modify-write block and any buffer pool are bit-identical to
+        the per-key loop.
         """
-        if self.ctx.disk.cache is not None:
-            return super().lookup_batch(keys, cost_out=cost_out)
         key_list, arr = normalize_keys(keys)
         n = len(key_list)
         out = np.zeros(n, dtype=bool)
         if n == 0:
             return out
         self.stats.lookups += n
-        costs = np.zeros(n, dtype=np.int64)
         root_buffer = self._root_buffer
         in_rb = (
             membership(arr, np.asarray(root_buffer, dtype=np.uint64))
@@ -410,6 +404,7 @@ class BufferTree(ExternalDictionary):
         )
         out |= in_rb
         records_arr = self.ctx.disk.records_arr
+        rounds: list[tuple[np.ndarray, int]] = []
         stack: list[tuple["_Internal | _Leaf", np.ndarray]] = [
             (self._root, np.flatnonzero(~in_rb))
         ]
@@ -419,7 +414,7 @@ class BufferTree(ExternalDictionary):
                 continue
             if isinstance(node, _Leaf):
                 if node.size:
-                    costs[pos] += 1
+                    rounds.append((pos, node.bid))
                     hit = membership(arr[pos], records_arr(node.bid))
                     out[pos[hit]] = True
                 continue
@@ -427,7 +422,7 @@ class BufferTree(ExternalDictionary):
             for bid in node.buffer_blocks:
                 if alive.size == 0:
                     break
-                costs[alive] += 1
+                rounds.append((alive, bid))
                 hit = membership(arr[alive], records_arr(bid))
                 out[alive[hit]] = True
                 alive = alive[~hit]
@@ -443,12 +438,7 @@ class BufferTree(ExternalDictionary):
                 sub = alive[child_idx == j]
                 if sub.size:
                     stack.append((child, sub))
-        total_reads = int(costs.sum())
-        if total_reads:
-            stats = self.ctx.stats
-            stats.reads += total_reads
-            last = int(np.flatnonzero(costs > 0)[-1])
-            stats._last_read_block = self._final_probe_block(key_list[last])
+        costs = self.ctx.disk.charge_walk(n, rounds)
         if cost_out is not None:
             cost_out.extend(costs.tolist())
         self.stats.hits += int(np.count_nonzero(out))
@@ -522,21 +512,6 @@ class BufferTree(ExternalDictionary):
                 out[i] = self.delete(key_list[i])
                 cost_out.append(stats.reads + stats.writes - before)
         return out
-
-    def _final_probe_block(self, key: int) -> int | None:
-        """The block id of ``key``'s last charged probe (scalar walk)."""
-        key_in = self.ctx.disk.key_in
-        node = self._root
-        last: int | None = None
-        while isinstance(node, _Internal):
-            for bid in node.buffer_blocks:
-                last = bid
-                if key_in(bid, key):
-                    return last
-            node = node.children[bisect.bisect_right(node.seps, key)]
-        if node.size:
-            last = node.bid
-        return last
 
     def flush_all(self) -> None:
         """Force every buffered item down to the leaves (used before

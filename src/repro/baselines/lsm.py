@@ -411,13 +411,11 @@ class LSMTree(ExternalDictionary):
             self.stats.hits += 1
             return True
         disk = self.ctx.disk
-        cache = disk.cache
         for run in self._levels:
             if run is None or run.size == 0:
                 continue
             if run.bloom is not None and not run.bloom.might_contain(key):
-                if cache is not None:
-                    cache.stats.negative_hits += 1
+                disk.count_negative_hits(1)
                 continue
             i = max(0, bisect.bisect_right(run.fences, key) - 1)
             if disk.probe_record(run.block_ids[i], key):
@@ -438,23 +436,20 @@ class LSMTree(ExternalDictionary):
         the whole run — one concatenate + searchsorted replaces the
         per-key fence bisect and block scan.  Bloom screens go through
         :meth:`BloomFilter.might_contain_array` (bit-identical to the
-        scalar probes), reads are charged in bulk per level, and the
-        pending read-modify-write block is restored to the scalar
-        walk's.  Batches tiny relative to the table keep the scalar
-        loop (materialising every run costs O(stored)).
+        scalar probes) and their rejections are counted as negative
+        hits; each probed key's fence-indicated block joins the walk
+        that :meth:`~repro.em.disk.Disk.charge_walk` charges in scalar
+        order.  Batches tiny relative to the table keep the scalar loop
+        (materialising every run costs O(stored)).
         """
         key_list, arr = normalize_keys(keys)
         n = len(key_list)
         if n == 0:
             return np.empty(0, dtype=bool)
-        if 24 * n < self._size or self.ctx.disk.cache is not None:
-            # Tiny batches keep the scalar loop; so do cached runs, whose
-            # per-key probes label every read hit or miss (and let the
-            # Bloom screens count negative hits).
+        if 24 * n < self._size:
             return super().lookup_batch(key_list, cost_out=cost_out)
         runs = [run for run in self._levels if run is not None and run.size > 0]
         out = np.zeros(n, dtype=bool)
-        costs = np.zeros(n, dtype=np.int64)
         self.stats.lookups += n
         tomb = self._tombstones
         dead = (
@@ -473,24 +468,28 @@ class LSMTree(ExternalDictionary):
         )
         out |= in_mem
         searching = np.flatnonzero(~dead & ~in_mem)
-        records_arr = self.ctx.disk.records_arr
+        disk = self.ctx.disk
+        rounds: list[tuple[np.ndarray, np.ndarray]] = []
         for run in runs:
             if searching.size == 0:
                 break
             if run.bloom is not None:
                 passed = run.bloom.might_contain_array(arr[searching])
                 probed = searching[passed]
+                disk.count_negative_hits(searching.size - probed.size)
             else:
                 passed = None
                 probed = searching
             if probed.size == 0:
                 continue
-            costs[probed] += 1
-            run_arr = concat_records(records_arr(bid) for bid in run.block_ids)
-            pos = np.minimum(
-                np.searchsorted(run_arr, arr[probed]), run_arr.size - 1
+            probe = arr[probed]
+            fence = np.searchsorted(
+                np.asarray(run.fences, dtype=np.uint64), probe, side="right"
             )
-            hit = run_arr[pos] == arr[probed]
+            rounds.append((probed, np.asarray(run.block_ids)[np.maximum(fence - 1, 0)]))
+            run_arr = concat_records(disk.records_arr(bid) for bid in run.block_ids)
+            pos = np.minimum(np.searchsorted(run_arr, probe), run_arr.size - 1)
+            hit = run_arr[pos] == probe
             out[probed[hit]] = True
             keep = np.ones(searching.size, dtype=bool)
             if passed is None:
@@ -498,29 +497,11 @@ class LSMTree(ExternalDictionary):
             else:
                 keep[np.flatnonzero(passed)[hit]] = False
             searching = searching[keep]
-        total_reads = int(costs.sum())
-        if total_reads:
-            stats = self.ctx.stats
-            stats.reads += total_reads
-            last = int(np.flatnonzero(costs > 0)[-1])
-            stats._last_read_block = self._final_probe_block(key_list[last], runs)
+        costs = disk.charge_walk(n, rounds)
         if cost_out is not None:
             cost_out.extend(costs.tolist())
         self.stats.hits += int(np.count_nonzero(out))
         return out
-
-    def _final_probe_block(self, key: int, runs: list[_Run]) -> int | None:
-        """The block id of ``key``'s last charged probe (scalar walk)."""
-        key_in = self.ctx.disk.key_in
-        last: int | None = None
-        for run in runs:
-            if run.bloom is not None and not run.bloom.might_contain(key):
-                continue
-            bid = run.block_ids[max(0, bisect.bisect_right(run.fences, key) - 1)]
-            last = bid
-            if key_in(bid, key):
-                break
-        return last
 
     # -- instrumentation ---------------------------------------------------------
 

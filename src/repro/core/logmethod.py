@@ -36,7 +36,7 @@ from ..tables.batching import (
     normalize_keys,
     partition_by_bucket,
 )
-from ..tables.overflow import ChainedBucket, bulk_merge_into
+from ..tables.overflow import ChainedBucket, bulk_drain, bulk_merge_into
 
 
 def _gather_is_cheaper(n: int, per_block: int, stored: int) -> bool:
@@ -341,8 +341,8 @@ class LogMethodHashTable(ExternalDictionary):
         only in its own bucket, so the answer is the same) where
         :func:`_gather_is_cheaper` says that costs less.  Each key is
         hashed once; the walk's block ids are charged by
-        :meth:`_charge_walk`.  Returns ``(found, charged reads)`` per
-        key of ``arr``, zero for unmasked keys.
+        :meth:`~repro.em.disk.Disk.charge_walk`.  Returns ``(found,
+        charged reads)`` per key of ``arr``, zero for unmasked keys.
         """
         rows = [] if head is None else [head]
         rows += [
@@ -391,34 +391,10 @@ class LogMethodHashTable(ExternalDictionary):
                 depth += 1
                 chained = [(i, c) for i, c in chained if not hit[i] and len(c) > depth]
             searching = searching[~hit]
-        ids = np.full((len(keys), len(rounds)), -1, dtype=np.int64)
-        for r, (pos, bids) in enumerate(rounds):
-            ids[pos, r] = bids
         found[probing] = True
         found[probing[searching]] = False
-        cost[probing] = self._charge_walk(ids)
+        cost[probing] = disk.charge_walk(len(keys), rounds)
         return found, cost
-
-    def _charge_walk(self, ids: np.ndarray) -> np.ndarray:
-        """Charge a vectorised walk exactly as the scalar walk would.
-
-        ``ids[i, r]`` is the block key ``i`` probes in round ``r`` (-1
-        when it took no part); row-major order is the scalar order, key
-        by key.  Uncached, each probe is one read, charged in bulk, the
-        last one left as the pending read-modify-write block; with a
-        buffer pool, :meth:`~repro.em.cache.CachedDisk.charge_probes`
-        replays the ids and charges the misses.  Returns each key's
-        charged reads.
-        """
-        disk = self.ctx.disk
-        visits = ids >= 0
-        walk = ids[visits]
-        if disk.cache is None:
-            disk.stats.record_reads(walk)
-            return visits.sum(axis=1)
-        charged = visits.copy()
-        charged[visits] = ~disk.charge_probes(walk)
-        return charged.sum(axis=1)
 
     # -- migration -------------------------------------------------------------------
 
@@ -455,87 +431,10 @@ class LogMethodHashTable(ExternalDictionary):
         return self._levels[k - 1]  # type: ignore[return-value]
 
     def _drain_level(self, k: int) -> list[int]:
-        """Read out every item of ``H_k`` (charged) and empty it.
-
-        Equivalent to ``read_all()`` + ``replace_all([])`` per bucket —
-        every bucket is read (empty ones too), non-empty ones are
-        rewritten empty — but the common chain-free case is charged in
-        bulk: one read per bucket, one combining write per non-empty
-        bucket, and the pending RMW block left exactly as the scalar
-        loop's last bucket would.
-        """
+        """Read out every item of ``H_k`` (charged) and empty it: every
+        bucket is read, non-empty ones are rewritten empty."""
         lvl = self._get_level(k)
-        disk = self.ctx.disk
-        stats = disk.stats
-        cache = disk.cache
-        drain = disk.drain_uncharged
-        items: list[int] = []
-        reads = 0
-        drained = 0
-        hits = 0
-        hit_drained = 0
-        last_nonempty = False
-        last_was_hit = False
-        for bkt in lvl.buckets:
-            if bkt._chain:
-                last_was_hit = cache is not None and cache.is_resident(
-                    bkt.block_ids[-1]
-                )
-                got = bkt.read_all()
-                last_nonempty = bool(got)
-                if got:
-                    items.extend(got)
-                    bkt.replace_all([])
-                continue
-            reads += 1
-            # Residency must be sampled before the drain: a cached
-            # drain_uncharged drops the frame for coherence.
-            hit = cache is not None and cache.is_resident(bkt.primary)
-            if hit:
-                hits += 1
-            last_was_hit = hit
-            got = drain(bkt.primary)
-            if got:
-                items.extend(got)
-                drained += 1
-                if hit:
-                    hit_drained += 1
-                last_nonempty = True
-            else:
-                last_nonempty = False
-        if cache is None:
-            if reads:
-                stats.reads += reads
-            if drained:
-                # Each rewrite immediately follows the read of its own
-                # block: a combining policy nets it out, and a non-empty
-                # block is never an allocation.
-                if stats.policy.combine_rmw:
-                    stats.combined += drained
-                else:
-                    stats.writes += drained
-            last = lvl.buckets[-1]
-            stats._last_read_block = None if last_nonempty else last.block_ids[-1]
-        else:
-            # Resident buckets are hits: read not charged, and their
-            # rewrites cannot combine (no physical read preceded them).
-            cache.stats.hits += hits
-            cache.stats.misses += reads - hits
-            stats.reads += reads - hits
-            miss_drained = drained - hit_drained
-            if miss_drained:
-                if stats.policy.combine_rmw:
-                    stats.combined += miss_drained
-                else:
-                    stats.writes += miss_drained
-            stats.writes += hit_drained
-            # The pending RMW block must name the last *physical* read;
-            # that is only knowable when the final bucket was an empty
-            # miss (read charged, nothing written after it).
-            if not last_nonempty and not last_was_hit:
-                stats._last_read_block = lvl.buckets[-1].block_ids[-1]
-            else:
-                stats._last_read_block = None
+        items = bulk_drain(lvl.buckets, self.ctx.disk)
         lvl.count = 0
         return items
 

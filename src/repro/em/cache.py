@@ -8,9 +8,10 @@ write combining and the mapping/arena/durable-arena storage backends:
 * :class:`BufferPool` — a write-back LRU cache of disk blocks with
   hit/dirty accounting, usable standalone by baselines;
 * :class:`CachedDisk` — a :class:`~repro.em.disk.Disk` whose charged hot
-  paths (``read``/``write``/``modify``/``load``/``store`` plus the
+  paths (``read``/``write``/``modify``/``load``/``store``, the
   record-level ``probe_record``/``remove_record``/``scan``/
-  ``read_records``) route through a private pool.
+  ``read_records`` and the bulk ``charge_walk``/``charge_sweep``) route
+  through a private pool.
 
 Cache hits charge **no** I/O — that is the entire point of buffering and
 exactly the effect whose limits the paper studies.  Exactness is
@@ -29,19 +30,22 @@ Coherence discipline of :class:`CachedDisk`: a frame is an LRU
 *residency entry* plus a lazily built membership memo, never a copy of
 the block.  Every mutating path — ``write``/``store``/``free``, the
 copy-light loans (``load``/``stage``), ``remove_record`` on a hit, and
-the uncharged bulk mutators — drops the resident frame first
-(write-invalidate), so a resident block always equals its committed
-backend state: whole-block hits (``read``/``scan``/``read_records``)
-read the backend without charging, and probe hits answer from the
-frame's memo, a set of the block's records built on its first probe hit
-and dropped with the frame.  Streaming bulk reads
-(``scan``/``read_records``) count hits and misses but never install
-frames, keeping one cold table scan from flushing the pool (scan
-resistance).  The vectorised lookup paths charge a whole walk of block
-ids through :meth:`CachedDisk.charge_probes`, which replays it with
+the uncharged bulk mutators — drops the resident frame (write-invalidate;
+draining an empty block mutates nothing and keeps it), so a resident
+block always equals its committed backend state: whole-block hits
+(``read``/``scan``/``read_records``) read the backend without charging,
+and probe hits answer from the frame's memo, a set of the block's
+records built on its first probe hit and dropped with the frame.
+Streaming bulk reads (``scan``/``read_records``) count hits and misses
+but never install frames, keeping one cold table scan from flushing the
+pool (scan resistance).  The batch paths charge through the disk's two
+bulk methods, overridden here.  :meth:`CachedDisk.charge_walk` replays a
+lookup batch's walk of block ids with
 :meth:`BufferPool.access_sequence` — the LRU reference-string
 simulation of Mattson et al. (1970) over plain ints — to the same hits,
 misses, evictions and resident order as the per-id probes.
+:meth:`CachedDisk.charge_sweep` runs the per-block loop a bucket sweep
+replaces: a streaming read, then write-invalidate and the write.
 
 A cache of ``capacity_blocks`` blocks consumes ``capacity_blocks * b``
 words of the memory budget.  Cached contexts model a machine with ``m``
@@ -59,7 +63,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .block import Block
-from .disk import Disk
+from .disk import Disk, Rounds
 from .errors import ConfigurationError
 from .iostats import IOStats
 from .memory import MemoryBudget
@@ -499,21 +503,37 @@ class CachedDisk(Disk):
         pool.access(block_id)  # not resident: counts the miss, installs
         return found
 
-    def charge_probes(self, block_ids: np.ndarray) -> np.ndarray:
-        """Charge the reads of a :meth:`probe_record` walk without probing.
+    def charge_walk(self, n: int, rounds: Rounds) -> np.ndarray:
+        # The walk is replayed in scalar order through the pool and its
+        # misses charged in one bulk read: counters, pool state and the
+        # pending RMW block end where the per-id probe_record calls would
+        # leave them.
+        if not rounds:
+            return np.zeros(n, dtype=np.int64)
+        pos = np.concatenate([p for p, _ in rounds])
+        order = np.argsort(pos, kind="stable")
+        ids = np.concatenate([np.broadcast_to(b, p.shape) for p, b in rounds])[order]
+        missed = ~self.cache.access_sequence(ids)
+        self.stats.record_reads(ids[missed])
+        return np.bincount(pos[order[missed]], minlength=n)
 
-        ``block_ids`` is the sequence of blocks a per-key probe loop
-        would visit, in order; the caller answers membership in bulk.
-        The walk is replayed through the pool
-        (:meth:`BufferPool.access_sequence`) and its misses are charged
-        in one bulk read, so counters, pool state and the pending
-        read-modify-write block end exactly where the per-id
-        :meth:`probe_record` calls would leave them.  Returns the hit
-        mask, so callers can split the charge per key.
-        """
-        hit = self.cache.access_sequence(block_ids)
-        self.stats.record_reads(block_ids[~hit])
-        return hit
+    def charge_sweep(self, block_ids, written=None, fresh=None, *, read=True) -> None:
+        pool, stats = self.cache, self.stats
+        # The reference loop itself: a streaming read (a resident block
+        # is a hit, a miss installs nothing), then write-invalidate.
+        for i, bid in enumerate(block_ids):
+            if read:
+                if pool.touch(bid):
+                    pool.stats.hits += 1
+                else:
+                    pool.stats.misses += 1
+                    stats.record_read(bid)
+            if written is None or written[i]:
+                self._drop_frame(bid)
+                stats.record_write(bid, fresh=fresh is not None and fresh[i])
+
+    def count_negative_hits(self, count: int) -> None:
+        self.cache.stats.negative_hits += count
 
     def remove_record(self, block_id: int, key: int) -> bool:
         if self.cache.touch(block_id):
@@ -546,5 +566,8 @@ class CachedDisk(Disk):
         super().replace_uncharged(block_id, items)
 
     def drain_uncharged(self, block_id: int):
-        self._drop_frame(block_id)
-        return super().drain_uncharged(block_id)
+        # Draining an empty block writes nothing: its frame stays.
+        out = super().drain_uncharged(block_id)
+        if out:
+            self._drop_frame(block_id)
+        return out

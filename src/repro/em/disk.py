@@ -30,13 +30,16 @@ Two access disciplines coexist:
   suite in ``tests/test_batch_parity.py`` pins this down.
 
 A third tier, the **uncharged record-level API**
-(:meth:`records_arr`, :meth:`append_uncharged`, :meth:`drain_uncharged`,
-...), exists for the batch engine's deferred-charging fast paths
-(:func:`~repro.tables.overflow.bulk_merge_into` and friends): it
-mutates the backend directly — no :class:`Block` handle, no charge —
-and leaves the caller responsible for reproducing the scalar counter
-arithmetic in bulk.  It replaces the backend-specific dict reaching the
-fast paths used to do.
+(:meth:`records_arr`, :meth:`keys_in`, :meth:`append_uncharged`,
+:meth:`drain_uncharged`, ...), serves the batch engine: it reads and
+mutates the backend directly — no :class:`Block` handle, no charge.  A
+batch path then charges what it did through one of two bulk methods:
+:meth:`charge_walk` for a lookup batch's probe walk, :meth:`charge_sweep`
+for a bucket sweep that reads each block once and writes some back.
+Each charges exactly what its per-block loop of charged calls would,
+and :class:`~repro.em.cache.CachedDisk` overrides both, so the
+footnote-2 combining and the cache's hit-or-miss decision live in this
+package alone.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ from .block import Block
 from .errors import ConfigurationError, InvalidBlockError
 from .iostats import IOStats
 
+#: A batch lookup's walk: ``(key positions, block ids)`` per probe round.
+Rounds = list[tuple[np.ndarray, np.ndarray | int]]
+
 
 class Disk:
     """An unbounded array of ``b``-word blocks with I/O accounting.
@@ -58,9 +64,9 @@ class Disk:
     ``cache`` is the caching policy axis: ``None`` here (uncached —
     every charged method talks straight to the backend), a
     :class:`~repro.em.cache.BufferPool` on the
-    :class:`~repro.em.cache.CachedDisk` subclass.  Hot paths branch on
-    ``disk.cache is None`` to keep the uncached configuration
-    bit-identical to the pre-cache ledgers.
+    :class:`~repro.em.cache.CachedDisk` subclass, which overrides the
+    charged methods.  Code above the disk calls those methods and never
+    branches on the axis.
 
     Parameters
     ----------
@@ -343,8 +349,8 @@ class Disk:
         """Read a sequence of blocks, returning their concatenated records.
 
         Charges exactly like :meth:`scan` (one read per block, in one
-        bulk call) without materialising :class:`Block` handles — the
-        charged counterpart of :meth:`records` used by chain drains.
+        bulk call) without materialising :class:`Block` handles; chain
+        drains use it.
         """
         records = self.backend.records
         out: list[int] = []
@@ -361,33 +367,75 @@ class Disk:
         :meth:`read_records`): one per block, in one bulk call."""
         self.stats.record_reads(block_ids)
 
+    # -- bulk charging (batch-engine internals) -------------------------------
+
+    def charge_walk(self, n: int, rounds: Rounds) -> np.ndarray:
+        """Charge a batch lookup's probe walk; return each key's charged reads.
+
+        ``rounds`` lists ``(key positions, block ids)`` groups of the
+        batch's ``n`` keys in the order they were probed (one id per
+        position, or one id the whole group probed), so each key's probes
+        keep their walk order; the per-key scalar order is by key
+        position, then walk order.  Charges exactly what
+        :meth:`probe_record` (or :meth:`read`) of each id in that order
+        would: here one read per probe, in one bulk call that leaves the
+        scalar walk's last probe as the pending read-modify-write block.
+        """
+        if not rounds:
+            return np.zeros(n, dtype=np.int64)
+        pos = np.concatenate([p for p, _ in rounds])
+        if pos.size:
+            # The scalar walk's last probe is the highest position's last
+            # entry; find the round that recorded it.
+            at = pos.size - 1 - int(np.argmax(pos[::-1]))
+            for p, ids in rounds:
+                if at < len(p):
+                    break
+                at -= len(p)
+            last = ids if np.ndim(ids) == 0 else ids[at]
+            self.stats.record_read_run(pos.size, int(last))
+        return np.bincount(pos, minlength=n)
+
+    def charge_sweep(
+        self,
+        block_ids: list[int],
+        written: list[bool] | None = None,
+        fresh: list[bool] | None = None,
+        *,
+        read: bool = True,
+    ) -> None:
+        """Charge a sweep: each block read once, in order, and rewritten
+        right after its read where ``written`` says so (every block when
+        ``None``; ``fresh`` marks first writes).
+
+        The reference is the per-block loop of :meth:`read_records` (unless
+        ``read`` is false) and :meth:`store`, which the bucket-row sweeps
+        of :mod:`repro.tables.overflow` replace: call it before their
+        uncharged mutations.  Uncached it is O(1) counter arithmetic
+        (:meth:`IOStats.record_sweep`).
+        """
+        self.stats.record_sweep(block_ids, written, fresh, read=read)
+
+    def count_negative_hits(self, count: int) -> None:
+        """Count probes a Bloom filter answered without any I/O.
+
+        A no-op here; a buffer pool counts them as ``negative_hits``.
+        """
+
     # -- uncharged record-level API (batch-engine internals) -----------------
     #
     # These mutators bump the generation tag (they are committed writes
     # as far as loan staleness is concerned) but charge nothing: callers
-    # reproduce the scalar charging arithmetic in bulk — see
-    # ``repro.tables.overflow.bulk_merge_into`` for the pattern.
-
-    def records(self, block_id: int) -> list[int]:
-        """The records of ``block_id`` as Python ints (uncharged, read-only)."""
-        return self.backend.records(block_id)
+    # charge through :meth:`charge_walk` / :meth:`charge_sweep`.
 
     def records_arr(self, block_id: int) -> np.ndarray:
         """The records of ``block_id`` as a uint64 array (uncharged, read-only)."""
         return self.backend.records_arr(block_id)
 
-    def key_in(self, block_id: int, key: int) -> bool:
-        """Record membership probe (uncharged)."""
-        return self.backend.contains_key(block_id, key)
-
     def keys_in(self, block_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Pairwise record membership, ``keys[i]`` in ``block_ids[i]``
         (uncharged; the batch lookups' address-then-gather probe)."""
         return self.backend.contains_keys(block_ids, keys)
-
-    def is_fresh(self, block_id: int) -> bool:
-        """Has ``block_id`` never been written (no records, no header)?"""
-        return self.backend.is_fresh(block_id)
 
     def append_uncharged(self, block_id: int, items: list[int]) -> None:
         """Append ``items`` to ``block_id`` without charging (bulk engine)."""

@@ -115,11 +115,15 @@ class IOStats:
         ``n`` I/Os does not cost ``n`` interpreter-level calls.
         ``block_ids`` may be a list or an integer array.
         """
-        n = len(block_ids)
-        if n == 0:
-            return
-        self.reads += n
-        self._last_read_block = int(block_ids[-1])
+        if len(block_ids):
+            self.record_read_run(len(block_ids), int(block_ids[-1]))
+
+    def record_read_run(self, count: int, last: int) -> None:
+        """Charge ``count`` > 0 reads, the final one of block ``last``:
+        :meth:`record_reads` of a run known only by its length and its
+        last id (a lookup walk charged without listing it)."""
+        self.reads += count
+        self._last_read_block = last
 
     def record_write(self, block_id: int, *, fresh: bool = False) -> None:
         """Charge a write of ``block_id``.
@@ -140,6 +144,50 @@ class IOStats:
             return
         self.writes += 1
         self._last_read_block = None
+
+    def record_sweep(
+        self,
+        block_ids: Sequence[int],
+        written: Sequence[bool] | None = None,
+        fresh: Sequence[bool] | None = None,
+        *,
+        read: bool = True,
+    ) -> None:
+        """Charge a sweep over ``block_ids`` in O(1) counter updates.
+
+        Equivalent to, block by block in order, :meth:`record_read`
+        (unless ``read`` is false) and then :meth:`record_write` where
+        ``written`` says so (every block when ``None``), ``fresh`` marking
+        first writes (a subset of the written blocks; none when ``None``).
+        A write right after the read of its own block combines under the
+        footnote-2 policy.  A write-only sweep (``read=False``) writes
+        every block, and only its first write can meet the pending read.
+        """
+        n = len(block_ids)
+        if n == 0:
+            return
+        policy = self.policy
+        nwritten = n if written is None else int(sum(written))
+        nfresh = 0 if fresh is None else int(sum(fresh))
+        self.allocations += nfresh
+        charged = nwritten if policy.charge_allocation else nwritten - nfresh
+        if read:
+            self.reads += n
+            combined = charged if policy.combine_rmw else 0
+            last_written = written is None or written[-1]
+            self._last_read_block = None if last_written else int(block_ids[-1])
+        else:
+            first_charged = policy.charge_allocation or not (
+                fresh is not None and fresh[0]
+            )
+            combined = int(
+                policy.combine_rmw
+                and first_charged
+                and self._last_read_block == block_ids[0]
+            )
+            self._last_read_block = None
+        self.combined += combined
+        self.writes += charged - combined
 
     def invalidate_rmw(self) -> None:
         """Forget the pending read so the next write is charged normally."""

@@ -91,15 +91,6 @@ class AdversaryReport:
             return 0.0
         return float(np.mean([r.query_lb for r in self.rounds]))
 
-    def inequality1_violations(self, m: int) -> int:
-        """Rounds whose slow zone breaks ``|S| ≤ m + δk``."""
-        out = 0
-        for r in self.rounds:
-            k = r.memory_zone + r.fast_zone + r.slow_zone
-            if r.slow_zone > m + self.params.delta * k:
-                out += 1
-        return out
-
 
 def certify_round(
     rnd: int,

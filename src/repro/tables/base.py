@@ -156,10 +156,6 @@ class ExternalDictionary(abc.ABC):
         for k in keys:
             self.insert(k)
 
-    def lookup_many(self, keys: Iterable[int]) -> list[bool]:
-        """Scalar reference path: one :meth:`lookup` call per key."""
-        return [self.lookup(k) for k in keys]
-
     def delete_many(self, keys: Iterable[int]) -> list[bool]:
         """Scalar reference path: one :meth:`delete` call per key."""
         return [self.delete(k) for k in keys]

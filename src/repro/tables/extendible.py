@@ -138,20 +138,14 @@ class ExtendibleHashTable(ExternalDictionary):
         *,
         cost_out: list[int] | None = None,
     ) -> np.ndarray:
-        """Fully vectorised membership: every lookup costs exactly one read.
+        """Fully vectorised membership: every lookup reads one block.
 
         The directory lives in memory and every bucket is a single
-        block, so the batch charges ``n`` reads in one bulk call and
-        probes each distinct bucket once with a sorted-membership scan
-        — bit-identical counters to the scalar loop, which reads one
-        block per key.
-
-        Cached runs take the scalar per-key loop instead: the bulk
-        branch charges reads wholesale without consulting the buffer
-        pool.
+        block, so the walk is one block per key, in key order, charged
+        by :meth:`~repro.em.disk.Disk.charge_walk`; each distinct bucket
+        is probed once with a sorted-membership scan — bit-identical
+        counters (and pool state) to the scalar loop.
         """
-        if self.ctx.disk.cache is not None:
-            return super().lookup_batch(keys, cost_out=cost_out)
         key_list, arr = normalize_keys(keys)
         n = len(key_list)
         out = np.zeros(n, dtype=bool)
@@ -165,10 +159,7 @@ class ExtendibleHashTable(ExternalDictionary):
             else np.zeros(n, dtype=np.int64)
         )
         bids = np.asarray(self._directory, dtype=np.int64)[idx]
-        # One charged read per key, in key order (the last id becomes
-        # the pending read-modify-write block, as the scalar walk leaves
-        # it).
-        self.ctx.stats.record_reads(bids.tolist())
+        costs = self.ctx.disk.charge_walk(n, [(np.arange(n), bids)])
         records_arr = self.ctx.disk.records_arr
         order = np.argsort(bids)
         sorted_bids = bids[order]
@@ -180,7 +171,7 @@ class ExtendibleHashTable(ExternalDictionary):
             vals = records_arr(int(sorted_bids[bounds[j]]))
             out[pos] = membership(arr[pos], np.asarray(vals, dtype=np.uint64))
         if cost_out is not None:
-            cost_out.extend([1] * n)
+            cost_out.extend(costs.tolist())
         self.stats.lookups += n
         self.stats.hits += int(np.count_nonzero(out))
         return out

@@ -62,10 +62,6 @@ class LinearProbingHashTable(ExternalDictionary):
 
     # -- addressing ----------------------------------------------------------------
 
-    @property
-    def block_count(self) -> int:
-        return len(self._block_ids)
-
     def home_of(self, key: int) -> int:
         """Index (not block id) of the home block."""
         return int(self.h.bucket(key, len(self._block_ids)))

@@ -192,6 +192,21 @@ class ChainedBucket:
         self._chain.clear()
 
 
+def _sweep(disk: Disk, run: list, mutate, **charge) -> None:
+    """Charge ``run``'s chain-free buckets as one sweep, then apply
+    ``mutate(block id, payload)`` to each, in order, and empty ``run``.
+
+    The charge comes first: a cached disk samples residency before the
+    uncharged mutators drop frames.  The callers below flush their run
+    before every fallback bucket, so charges land in bucket order.
+    """
+    if run:
+        disk.charge_sweep([bid for bid, _ in run], **charge)
+        for bid, payload in run:
+            mutate(bid, payload)
+        run.clear()
+
+
 def bulk_merge_into(
     buckets: list[ChainedBucket],
     parts: list[tuple[int, list[int]]],
@@ -200,97 +215,30 @@ def bulk_merge_into(
     """Merge per-bucket item groups into ``buckets`` at bulk prices.
 
     ``parts`` is the output of
-    :func:`~repro.tables.batching.partition_by_bucket` — the staged
-    groups the scalar merge loops feed through ``read_all`` +
-    ``replace_all`` one bucket at a time.  The common case (chain-free
-    bucket, merged contents still fit one block) is executed as an
-    in-place read-modify-write with *deferred bulk charging* that
-    reproduces the scalar counter arithmetic exactly:
-
-    * each bucket costs one read, and its write immediately follows the
-      read of the same block, so under a ``combine_rmw`` policy it nets
-      to ``combined`` instead of ``writes``;
-    * a previously empty, header-less block counts one allocation, and
-      is uncharged when the policy says allocations are free;
-    * the pending read-modify-write block ends as ``None`` (the last
-      charged I/O is always a write), exactly as the scalar loop leaves
-      it.
-
-    Chained or overflowing buckets fall back to
-    :meth:`ChainedBucket.absorb`, which charges through the normal
-    path.  I/O totals are bit-identical either way; the parity suite
-    exercises both branches.
-
-    On a cached disk each fast-path bucket first consults the buffer
-    pool: a resident frame is a **hit** (the read is not charged, the
-    frame is invalidated before the backend-level append so it can
-    never go stale, and the following write cannot combine — no
-    physical read happened), a non-resident one is a charged **miss**
-    that combines exactly like the uncached arithmetic.  Reads avoided
-    equal hits counted, preserving the
-    ``hits + misses == uncached charged reads`` contract.
+    :func:`~repro.tables.batching.partition_by_bucket`.  Charges exactly
+    the per-bucket loop of :meth:`ChainedBucket.absorb` (``read_all`` +
+    ``replace_all``): a chain-free bucket whose merged contents still fit
+    one block is appended to uncharged and charged by
+    :meth:`~repro.em.disk.Disk.charge_sweep` — one read, then a write
+    (a first write when the block was fresh); a chained or overflowing
+    bucket runs ``absorb`` itself.
     """
-    if not parts:
-        return
-    # Record-level backend access plus the disk's generation table:
-    # module-internal fast path shared with Disk (same library, see the
-    # uncharged record-level API in em.disk).
-    backend = disk.backend
-    gen = disk._gen
-    stats = disk.stats
-    cache = disk.cache
     cap = disk.b // disk.record_words
-    fast = 0
-    nfresh = 0
-    hit_count = 0
-    hit_fresh = 0
+    backend = disk.backend
+    run: list[tuple[int, list[int]]] = []
+
+    def flush() -> None:
+        fresh = [backend.is_fresh(bid) for bid, _ in run]
+        _sweep(disk, run, disk.append_uncharged, fresh=fresh)
+
     for idx, incoming in parts:
         bkt = buckets[idx]
-        if bkt._chain:
+        if bkt._chain or backend.length(bkt.primary) + len(incoming) > cap:
+            flush()
             bkt.absorb(incoming)
-            continue
-        bid = bkt.primary
-        if backend.length(bid) + len(incoming) > cap:
-            bkt.absorb(incoming)
-            continue
-        fresh = backend.is_fresh(bid)
-        if fresh:
-            nfresh += 1
-        if cache is not None and cache.is_resident(bid):
-            cache.invalidate(bid, discard=True)
-            hit_count += 1
-            if fresh:
-                hit_fresh += 1
-        backend.append(bid, incoming)
-        gen[bid] = gen.get(bid, 0) + 1
-        fast += 1
-    if fast:
-        policy = stats.policy
-        stats.allocations += nfresh
-        if cache is None:
-            stats.reads += fast
-            charged_writes = fast if policy.charge_allocation else fast - nfresh
-            if policy.combine_rmw:
-                stats.combined += charged_writes
-            else:
-                stats.writes += charged_writes
         else:
-            miss_count = fast - hit_count
-            cache.stats.hits += hit_count
-            cache.stats.misses += miss_count
-            stats.reads += miss_count
-            if policy.charge_allocation:
-                miss_charged = miss_count
-                hit_charged = hit_count
-            else:
-                miss_charged = miss_count - (nfresh - hit_fresh)
-                hit_charged = hit_count - hit_fresh
-            if policy.combine_rmw:
-                stats.combined += miss_charged
-            else:
-                stats.writes += miss_charged
-            stats.writes += hit_charged
-    stats._last_read_block = None
+            run.append((bkt.primary, incoming))
+    flush()
 
 
 def bulk_fill_buckets(
@@ -300,39 +248,53 @@ def bulk_fill_buckets(
 ) -> None:
     """Write staged groups into freshly allocated, never-written buckets.
 
-    The rebuild counterpart of :func:`bulk_merge_into`: every receiving
-    bucket is brand new (one empty, header-less primary block), so each
-    single-block write is a first write — one allocation, charged as a
-    write (or free when the policy says allocations are) and never
-    combining, since a fresh block cannot be the pending RMW block.
-    Groups too large for one block fall back to
-    :meth:`ChainedBucket.replace_all`.  Charges are bit-identical to the
-    per-bucket scalar loop.
+    The rebuild counterpart of :func:`bulk_merge_into`: charges exactly
+    the per-bucket loop of :meth:`ChainedBucket.replace_all`.  A group
+    that fits one block is written uncharged and charged as a write-only
+    sweep of first writes; a larger group runs ``replace_all`` itself.
     """
-    if not parts:
-        return
-    backend = disk.backend
-    gen = disk._gen
-    stats = disk.stats
-    cache = disk.cache
     cap = disk.b // disk.record_words
-    written = 0
+    run: list[tuple[int, list[int]]] = []
+
+    def flush() -> None:
+        _sweep(disk, run, disk.replace_uncharged, fresh=[True] * len(run), read=False)
+
     for idx, items in parts:
-        bkt = buckets[idx]
         if len(items) > cap:
-            bkt.replace_all(items)
-            continue
-        bid = bkt.primary
-        if cache is not None:
-            # Fresh targets are normally never resident; invalidate
-            # defensively so a stale frame can never survive the
-            # backend-level overwrite.
-            cache.invalidate(bid, discard=True)
-        backend.replace(bid, items)
-        gen[bid] = gen.get(bid, 0) + 1
-        written += 1
-    if written:
-        stats.allocations += written
-        if stats.policy.charge_allocation:
-            stats.writes += written
-        stats._last_read_block = None
+            flush()
+            buckets[idx].replace_all(items)
+        else:
+            run.append((buckets[idx].primary, items))
+    flush()
+
+
+def bulk_drain(buckets: list[ChainedBucket], disk: Disk) -> list[int]:
+    """Read out and empty every bucket of a row; return the items.
+
+    Charges exactly the per-bucket loop ``got = read_all()``, then
+    ``replace_all([])`` when ``got`` is non-empty: every bucket is read,
+    empty ones too.  Chain-free buckets are drained uncharged and charged
+    by :meth:`~repro.em.disk.Disk.charge_sweep`, rewriting the non-empty
+    ones; chained buckets run the loop itself.
+    """
+    length = disk.backend.length
+    items: list[int] = []
+    run: list[tuple[int, None]] = []
+
+    def drain(bid: int, _) -> None:
+        items.extend(disk.drain_uncharged(bid))
+
+    def flush() -> None:
+        _sweep(disk, run, drain, written=[length(bid) > 0 for bid, _ in run])
+
+    for bkt in buckets:
+        if bkt._chain:
+            flush()
+            got = bkt.read_all()
+            if got:
+                items.extend(got)
+                bkt.replace_all([])
+        else:
+            run.append((bkt.primary, None))
+    flush()
+    return items

@@ -375,29 +375,9 @@ class ShardedDictionary(ExternalDictionary):
         """Shard-grouped lookups, scattered back to arrival order.
 
         Per-query results and I/O costs are state-independent, so the
-        grouped order charges the same counters as the scalar loop; the
-        group holding the final key runs last so the pending
-        read-modify-write block ends where the scalar walk leaves it.
+        grouped order charges the same counters as the scalar loop.
         """
-        if self.shards == 1:
-            return self._shards[0].lookup_batch(keys, cost_out=cost_out)
-        key_list, arr = normalize_keys(keys)
-        n = len(key_list)
-        out = np.zeros(n, dtype=bool)
-        if n == 0:
-            return out
-        groups = self._groups(arr)
-        last_shard = int(self._shard_idx(arr[-1:])[0])
-        groups.sort(key=lambda g: (g[0] == last_shard, g[0]))
-        costs = np.zeros(n, dtype=np.int64) if cost_out is not None else None
-        for shard, pos in groups:
-            sub_costs: list[int] | None = [] if cost_out is not None else None
-            out[pos] = self._shards[shard].lookup_batch(arr[pos], cost_out=sub_costs)
-            if costs is not None:
-                costs[pos] = sub_costs
-        if cost_out is not None:
-            cost_out.extend(costs.tolist())
-        return out
+        return self._scatter("lookup_batch", keys, cost_out)
 
     def delete_batch(
         self,
@@ -410,12 +390,19 @@ class ShardedDictionary(ExternalDictionary):
         A delete mutates only its own shard, and each shard receives
         exactly the subsequence of ``keys`` the scalar loop would feed
         it (stable groups), so results and per-shard charges are
-        bit-identical to per-key routing; the group holding the final
-        key runs last so the pending read-modify-write block ends where
-        the scalar walk leaves it.
+        bit-identical to per-key routing.
         """
+        return self._scatter("delete_batch", keys, cost_out)
+
+    def _scatter(
+        self, method: str, keys: Sequence[int] | np.ndarray, cost_out: list[int] | None
+    ) -> np.ndarray:
+        """One inner ``method`` batch per shard group; results and costs
+        scattered back to arrival order.  The group holding the final key
+        runs last, so the pending read-modify-write block ends where the
+        scalar walk leaves it."""
         if self.shards == 1:
-            return self._shards[0].delete_batch(keys, cost_out=cost_out)
+            return getattr(self._shards[0], method)(keys, cost_out=cost_out)
         key_list, arr = normalize_keys(keys)
         n = len(key_list)
         out = np.zeros(n, dtype=bool)
@@ -427,7 +414,8 @@ class ShardedDictionary(ExternalDictionary):
         costs = np.zeros(n, dtype=np.int64) if cost_out is not None else None
         for shard, pos in groups:
             sub_costs: list[int] | None = [] if cost_out is not None else None
-            out[pos] = self._shards[shard].delete_batch(arr[pos], cost_out=sub_costs)
+            run = getattr(self._shards[shard], method)
+            out[pos] = run(arr[pos], cost_out=sub_costs)
             if costs is not None:
                 costs[pos] = sub_costs
         if cost_out is not None:

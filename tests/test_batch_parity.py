@@ -28,12 +28,12 @@ Two further axes ride on top since the pluggable-backend PR:
   bare inner table;
 * **cached axis** — with a buffer pool attached (2 and 48 frames), the
   batch paths must also leave every pool exactly where the cached
-  scalar loops leave it: hit/miss/eviction counts, the LRU resident
-  order, and the pending read-modify-write block (not for the sharded
-  router, see ``_cache_state``), after every ``lookup_batch``.  The
-  Theorem 2 and log-method tables answer cached
-  batches vectorised, replaying the scalar walk's block ids through the
-  pool, so this pins the replay order;
+  scalar loops leave it: hit/miss/negative-hit/eviction counts, the LRU
+  resident order, and the pending read-modify-write block (not for the
+  sharded router, see ``_cache_state``), after every ``lookup_batch``.
+  The ``REPLAYING`` tables answer cached batches vectorised too,
+  replaying the scalar walk's block ids through the pool, so this pins
+  the replay order;
 * **small batches** — 1, 3 and 45 lookups against those two tables
   past the bootstrap, with non-empty levels, chains in Ĥ and in a level
   (cramped) or up to six blocks deep (log-method), take the
@@ -176,8 +176,8 @@ def _assert_same(scalar_state, batch_state, label: str) -> None:
 
 
 def _cache_state(ctx, table):
-    """Per pool: hits, misses, evictions and the LRU resident order; plus
-    the pending read-modify-write block.
+    """Per pool: hits, misses, negative hits, evictions and the LRU
+    resident order; plus the pending read-modify-write block.
 
     The sharded router's pools are compared shard by shard, but not its
     pending block: its shards share one ledger and it runs their groups
@@ -188,8 +188,8 @@ def _cache_state(ctx, table):
     pools = [sub.disk.cache for sub in contexts or [ctx]]
     return {
         "pools": [
-            (pool.stats.hits, pool.stats.misses, pool.stats.evictions,
-             pool.resident())
+            (pool.stats.hits, pool.stats.misses, pool.stats.negative_hits,
+             pool.stats.evictions, pool.resident())
             for pool in pools
         ],
         "rmw": None if contexts else ctx.stats._last_read_block,
@@ -266,10 +266,13 @@ def test_cramped_chains_parity(name, policy_name):
     _run_pair(factory, cramped, POLICIES[policy_name], keys, probe, chunks=3)
 
 
-#: Tables whose cached ``lookup_batch`` replays a vectorised walk
-#: through the pool (the shared level-probe helper) instead of taking
+#: Tables whose cached ``lookup_batch`` records its vectorised walk and
+#: replays it through the pool (``Disk.charge_walk``) instead of taking
 #: the per-key probes.
-REPLAYING = ("buffered", "logmethod", "sharded_buffered")
+REPLAYING = (
+    "btree", "buffer_tree", "buffered", "extendible", "logmethod", "lsm",
+    "lsm_nobloom", "sharded_buffered",
+)
 
 
 @pytest.mark.parametrize("cache_blocks", [2, 48])
@@ -280,28 +283,32 @@ def test_cached_batch_parity(name, policy_name, cache_blocks, monkeypatch):
     state (counts, LRU order) and the pending RMW block after every
     ``lookup_batch``; a 2-frame pool evicts on nearly every miss."""
     calls = []
-    helper = LogMethodHashTable.probe_levels_batch
+    charge = CachedDisk.charge_walk
 
-    def spy(self, *args, **kwargs):
-        calls.append(self.ctx.disk.cache is not None)
-        return helper(self, *args, **kwargs)
+    def spy(self, n, rounds):
+        calls.append(n)
+        return charge(self, n, rounds)
 
-    monkeypatch.setattr(LogMethodHashTable, "probe_levels_batch", spy)
+    monkeypatch.setattr(CachedDisk, "charge_walk", spy)
     factory, roomy, _ = TABLES[name]
     keys, probe = _keys(seed=29, dupes=True)
     _run_pair(factory, roomy, POLICIES[policy_name], keys, probe, chunks=3,
               cache_blocks=cache_blocks)
     if name in REPLAYING:
-        assert calls and all(calls), "the cached batch never took the replay"
+        assert calls, "the cached batch never took the replay"
 
 
-@pytest.mark.parametrize("name", ["buffered", "logmethod"])
+@pytest.mark.parametrize("name", ["btree", "buffered", "logmethod"])
 def test_cached_parity_catches_a_misordered_replay(name, monkeypatch):
     """The cached parity check is sharp: replaying the right block ids
     in the wrong order must fail it."""
-    charge = CachedDisk.charge_probes
+    charge = CachedDisk.charge_walk
     monkeypatch.setattr(
-        CachedDisk, "charge_probes", lambda self, ids: charge(self, ids[::-1])
+        CachedDisk,
+        "charge_walk",
+        lambda self, n, rounds: charge(
+            self, n, [(n - 1 - pos, ids) for pos, ids in reversed(rounds)]
+        )[::-1],
     )
     factory, roomy, _ = TABLES[name]
     keys, probe = _keys(seed=29, dupes=True)

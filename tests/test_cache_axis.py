@@ -53,7 +53,8 @@ from repro.tables import (
     ShardedDictionary,
     make_sharded,
 )
-from repro.tables.overflow import ChainedBucket, bulk_merge_into
+from repro.tables.batching import partition_by_bucket
+from repro.tables.overflow import ChainedBucket, bulk_fill_buckets, bulk_merge_into
 
 N_KEYS = 1200
 N_PROBE = 400
@@ -263,6 +264,153 @@ class TestContextAxis:
             EMContext(params=params, disk=Disk(32), cache_blocks=4)
 
 
+# -- bucket-row sweeps vs the per-bucket loops they replace -------------------
+
+
+def _drain_loop(table, k):
+    """``_drain_level``'s reference: ``read_all`` + ``replace_all([])``."""
+    lvl = table._get_level(k)
+    items = []
+    for bkt in lvl.buckets:
+        got = bkt.read_all()
+        if got:
+            items.extend(got)
+            bkt.replace_all([])
+    lvl.count = 0
+    return items
+
+
+def _pend(ctx, bkt):
+    """Leave ``bkt``'s blocks resident and its primary the pending read."""
+    for bid in reversed(bkt.block_ids):
+        if ctx.disk.cache is not None:
+            ctx.disk.cache.invalidate(bid, discard=True)
+        ctx.disk.probe_record(bid, 0)
+
+
+def _sweep_state(ctx):
+    """Ledger, pending RMW block, pool counts and LRU order, every block."""
+    stats, pool, disk = ctx.stats, ctx.disk.cache, ctx.disk
+    return (
+        stats.snapshot(),
+        stats._last_read_block,
+        None if pool is None else (pool.stats.hits, pool.stats.misses,
+                                   pool.stats.evictions, pool.resident()),
+        {bid: tuple(disk.backend.records(bid)) for bid in disk.block_ids()},
+    )
+
+
+@pytest.mark.parametrize("cache_blocks", [0, 2, 8, 48])
+@pytest.mark.parametrize("policy_name", ["paper", "strict"])
+def test_sweeps_equal_their_per_bucket_loops(policy_name, cache_blocks):
+    """``_drain_level``, ``bulk_merge_into`` and ``bulk_fill_buckets``
+    charge, and leave the pool, exactly as the loops their docstrings
+    name, on a cramped log-method table warmed by lookups.  This pins
+    three cases: a hit's write combines when the hit block is still the
+    pending read; a chained bucket mid-sweep sees the pending block the
+    sweep so far left; draining an empty bucket keeps its frame."""
+    policy = {"paper": PAPER_POLICY, "strict": STRICT_POLICY}[policy_name]
+    for seed in range(12):
+        rnd = random.Random(seed)
+        keys = rnd.sample(range(10**12), rnd.randrange(150, 500))
+        twins = []
+        for _ in range(2):
+            ctx = make_context(b=8, m=64, policy=policy,
+                               cache_blocks=cache_blocks, hard_memory=False)
+            table = LogMethodHashTable(ctx, MULTIPLY_SHIFT.sample(ctx.u, seed=7))
+            table.insert_batch(keys)
+            twins.append((ctx, table))
+        (ctx_s, sweep), (ctx_l, loop) = twins
+
+        def warm():
+            probe = rnd.sample(keys, 20) + rnd.sample(range(10**12), 10)
+            for k in probe:
+                assert sweep.lookup(k) == loop.lookup(k)
+
+        def aim(k, order):
+            """Warm both twins, then pend one bucket of level ``k`` that
+            the sweep visits in ``order``: its first, or a chained one."""
+            warm()
+            rows = [t._levels[k - 1].buckets for _, t in twins]
+            chained = [i for i in order[1:] if rows[0][i]._chain]
+            i = rnd.choice(chained) if chained and rnd.random() < 0.5 else order[0]
+            for (ctx, _), row in zip(twins, rows):
+                _pend(ctx, row[i])
+
+        def check(label):
+            assert _sweep_state(ctx_s) == _sweep_state(ctx_l), (label, seed)
+
+        k = rnd.choice(sweep.nonempty_levels())
+        aim(k, range(len(sweep._levels[k - 1].buckets)))
+        moving = sweep._drain_level(k)
+        assert moving == _drain_loop(loop, k)
+        check("drain")
+
+        target = sweep._get_level(k + 1).buckets
+        loop._get_level(k + 1)
+        arr = np.asarray(moving + rnd.sample(range(10**12), 40), dtype=np.uint64)
+        parts = partition_by_bucket(
+            arr, sweep.h.hash_array(arr) % np.uint64(len(target))
+        )
+        aim(k + 1, [idx for idx, _ in parts])
+        bulk_merge_into(target, parts, ctx_s.disk)
+        for idx, incoming in parts:
+            loop._levels[k].buckets[idx].absorb(incoming)
+        check("merge")
+
+        warm()
+        rows = [ChainedBucket.bulk_row(ctx.disk, 6) for ctx in (ctx_s, ctx_l)]
+        items = rnd.sample(range(10**12), 48)
+        parts = partition_by_bucket(items, np.asarray(items) % 6)
+        bulk_fill_buckets(rows[0], parts, ctx_s.disk)
+        for idx, group in parts:
+            rows[1][idx].replace_all(group)
+        check("fill")
+
+
+@pytest.mark.parametrize("cache_blocks", [0, 2, 3])
+def test_walk_charge_follows_the_scalar_key_order(cache_blocks):
+    """A walk recorded round by round is charged key by key, each key's
+    probes in round order: counters, per-key costs, the pending RMW block
+    and the pool end where that ``probe_record`` loop leaves them, also
+    when the last key to probe drops out after the first round."""
+    rounds = [
+        ([0, 1, 2, 3, 4], [0, 1, 2, 0, 3]),
+        ([1, 3], [4, 5]),
+        ([1], [0]),
+    ]
+    sides = []
+    for _ in range(2):
+        stats = IOStats(policy=PAPER_POLICY)
+        disk = (
+            CachedDisk(4, cache_blocks=cache_blocks, stats=stats)
+            if cache_blocks
+            else Disk(4, stats=stats)
+        )
+        ids = disk.allocate_many(6)
+        for bid in ids:
+            disk.write(bid, Block(4, data=[bid]))
+        disk.stats.reset()
+        sides.append((disk, ids))
+    (loop, ids), (bulk, _) = sides
+    costs = []
+    for key in range(5):
+        before = loop.stats.reads
+        for pos, bids in rounds:
+            if key in pos:
+                loop.probe_record(ids[bids[pos.index(key)]], 0)
+        costs.append(loop.stats.reads - before)
+    charged = bulk.charge_walk(
+        5, [(np.array(pos), np.array(ids)[bids]) for pos, bids in rounds]
+    )
+    assert charged.tolist() == costs
+    assert bulk.stats.snapshot() == loop.stats.snapshot()
+    assert bulk.stats._last_read_block == loop.stats._last_read_block == ids[3]
+    if cache_blocks:
+        assert bulk.cache.stats == loop.cache.stats
+        assert bulk.cache.resident() == loop.cache.resident()
+
+
 # -- CachedDisk unit behaviour ------------------------------------------------
 
 
@@ -407,7 +555,7 @@ class TestCachedDisk:
         assert disk.cache.stats.hits == 1
         assert disk.stats.reads == 4  # 1 install miss + 3 sweep misses
 
-    def test_charge_probes_equals_a_probe_loop(self):
+    def test_charge_walk_equals_a_probe_loop(self):
         """The vectorised lookups' bulk charge labels, evicts and leaves
         the pending RMW block exactly like per-id ``probe_record``."""
         refs = [0, 1, 2, 0, 3, 0, 4, 1, 1, 5, 2, 0, 5, 5, 3, 1]
@@ -421,7 +569,7 @@ class TestCachedDisk:
         (loop, seq), (bulk, _) = disks
         for bid in seq:
             loop.probe_record(bid, 0)
-        bulk.charge_probes(np.asarray(seq))
+        bulk.charge_walk(len(seq), [(np.arange(len(seq)), np.asarray(seq))])
         assert bulk.cache.stats == loop.cache.stats
         assert bulk.cache.stats.evictions > 0
         assert bulk.cache.resident() == loop.cache.resident()

@@ -1,5 +1,7 @@
 """Unit tests for I/O accounting and the footnote-2 policy."""
 
+import random
+
 import pytest
 
 from repro.em import IOPolicy, IOStats, PAPER_POLICY, STRICT_POLICY
@@ -88,6 +90,43 @@ class TestAllocationCharging:
         st.record_write(3, fresh=True)
         assert st.writes == 0
         assert st.allocations == 1
+
+
+#: Every combination of the two policy switches.
+POLICIES = [
+    IOPolicy(combine_rmw=c, charge_allocation=a) for c in (True, False)
+    for a in (True, False)
+]
+
+
+@pytest.mark.parametrize("read", [True, False])
+@pytest.mark.parametrize("policy", POLICIES, ids=repr)
+def test_record_sweep_equals_the_per_block_loop(policy, read):
+    """The O(1) sweep charge ends where record_read/record_write block by
+    block do: counters and pending block, whatever was pending before."""
+    rnd = random.Random(5)
+    for _ in range(300):
+        n = rnd.randrange(1, 6)
+        ids = [rnd.randrange(4) for _ in range(n)]
+        if read:
+            written = [rnd.random() < 0.6 for _ in ids]
+            fresh = [w and rnd.random() < 0.3 for w in written]
+        else:
+            written = None
+            fresh = [rnd.random() < 0.5 for _ in ids]
+        pending = rnd.choice([None, *range(4)])
+        loop, bulk = IOStats(policy=policy), IOStats(policy=policy)
+        for stats in (loop, bulk):
+            if pending is not None:
+                stats.record_read(pending)
+        for i, bid in enumerate(ids):
+            if read:
+                loop.record_read(bid)
+            if written is None or written[i]:
+                loop.record_write(bid, fresh=fresh[i])
+        bulk.record_sweep(ids, written, fresh, read=read)
+        assert bulk.snapshot() == loop.snapshot(), (ids, written, fresh, pending)
+        assert bulk._last_read_block == loop._last_read_block
 
 
 class TestSnapshots:

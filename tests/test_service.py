@@ -549,13 +549,13 @@ GOLDEN = {
         "bfab3e3d3dc33dd4d706be2a58359af2e9bcb12c01eac45c1a8567c4db7e865c",
     ),
     4: (
-        {"reads": 14147, "writes": 1978, "combined": 8413, "allocations": 2002},
+        {"reads": 14147, "writes": 1976, "combined": 8415, "allocations": 2002},
         (445, 14147),
         68,
         84,
         5878,
         (2408, 4260),
-        "a4f3fbde6bce917f89ef528882387668ebe7789425ad48cccfdd741e866ea21f",
+        "e21e2bdfa279d8293abd6322d66901c5fafc95218c55dff17dd99236f31740f0",
     ),
 }
 
