@@ -116,9 +116,11 @@ skew-bench:
 	REPRO_PLOT_DIR=plots $(PY) -m pytest benchmarks/bench_skew.py \
 	    --benchmark-only -s -q --benchmark-json=BENCH_skew.json
 
-## Every paper-artifact benchmark (slow; prints the reproduced tables).
+## Every benchmark file (slow; prints the reproduced tables).  The files
+## are named bench_*.py, which pytest's default test_*.py pattern would
+## not collect.  Writes no BENCH record.
 bench-all:
-	$(PY) -m pytest benchmarks/ --benchmark-only -s -q
+	$(PY) -m pytest benchmarks/ -o python_files='bench_*.py' --benchmark-only -s -q
 
 ## Rebuild every plots/*.dat from the series payloads stashed in the
 ## checked-in BENCH_*.json — no benchmark re-run, so plot data can

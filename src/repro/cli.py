@@ -53,7 +53,7 @@ from .core.config import (
     StorageConfig,
     TrafficConfig,
 )
-from .em.errors import ConfigurationError
+from .em.errors import ConfigurationError, MemoryBudgetExceededError
 from .core.jensen_pagh import JensenPaghTable
 from .core.logmethod import LogMethodHashTable
 from .core.tradeoff import figure1_curves
@@ -781,7 +781,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, MemoryBudgetExceededError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -37,7 +37,7 @@ from ..tables.base import ExternalDictionary, LayoutSnapshot
 from ..tables.batching import fresh_in_order, normalize_keys, partition_by_bucket
 from ..tables.overflow import ChainedBucket, bulk_fill_buckets, bulk_merge_into
 from .config import BufferedParams
-from .logmethod import LogMethodHashTable
+from .logmethod import LogMethodHashTable, _walk_is_cheaper
 
 
 class BufferedHashTable(ExternalDictionary):
@@ -186,9 +186,6 @@ class BufferedHashTable(ExternalDictionary):
     def delete(self, key: int) -> bool:
         """Remove ``key``, probing in lookup order: memory (free) → ``Ĥ``
         (one read-modify-write) → log-method levels."""
-        return self._delete_hashed(key, None)
-
-    def _delete_hashed(self, key: int, hv: int | None) -> bool:
         if self._bootstrapping:
             if key in self._bootstrap:
                 del self._bootstrap[key]
@@ -204,8 +201,7 @@ class BufferedHashTable(ExternalDictionary):
             self._size -= 1
             self.stats.deletes += 1
             return True
-        if hv is None:
-            hv = int(self.h.hash(key))
+        hv = int(self.h.hash(key))
         if self._hhat[hv % len(self._hhat)].delete(key):
             self._hhat_count -= 1
             self._shadow.discard(key)
@@ -302,33 +298,26 @@ class BufferedHashTable(ExternalDictionary):
         *,
         cost_out: list[int] | None = None,
     ) -> np.ndarray:
-        """Vectorised-hash deletes in lookup probe order.
-
-        Deletion never triggers merges or round boundaries, so one
-        ``hash_array`` call serves the batch and the per-key probe
-        (memory → ``Ĥ`` → levels) charges exactly like
-        :meth:`delete`.
+        """Memory by set removals, then one removing walk of ``Ĥ`` and the
+        log-method levels
+        (:meth:`~repro.core.logmethod.LogMethodHashTable.delete_levels_batch`)
+        where the walk is cheaper than the per-key loop, which smaller
+        batches and the bootstrap take.  Either way each key is charged
+        what :meth:`delete` charges it.
         """
         key_list, arr = normalize_keys(keys)
-        n = len(key_list)
-        out = np.empty(n, dtype=bool)
-        if n == 0:
-            return out
-        if self._bootstrapping:
-            for i in range(n):
-                out[i] = self._delete_hashed(key_list[i], None)
-                if cost_out is not None:
-                    cost_out.append(0)
-            return out
-        hv = self.h.hash_array(arr).tolist()
-        stats = self.ctx.stats
-        for i in range(n):
-            if cost_out is None:
-                out[i] = self._delete_hashed(key_list[i], hv[i])
-            else:
-                before = stats.reads + stats.writes
-                out[i] = self._delete_hashed(key_list[i], hv[i])
-                cost_out.append(stats.reads + stats.writes - before)
+        if self._bootstrapping or not _walk_is_cheaper(len(key_list)):
+            return super().delete_batch(key_list, cost_out=cost_out)
+        in_mem = self._recent.delete_from_memory(key_list)
+        out, head_hits = self._recent.delete_levels_batch(
+            arr, ~in_mem, head=(self._hhat, self._hhat_count), cost_out=cost_out
+        )
+        self._hhat_count -= head_hits
+        out |= in_mem
+        gone = arr[out].tolist()
+        self._shadow.difference_update(gone)
+        self._size -= len(gone)
+        self.stats.deletes += len(gone)
         return out
 
     # -- bootstrap / rounds -------------------------------------------------------------

@@ -39,6 +39,14 @@ from ..tables.batching import (
 from ..tables.overflow import ChainedBucket, bulk_drain, bulk_merge_into
 
 
+#: A bucket row probed ahead of the levels, with its stored-item count.
+Head = tuple[list[ChainedBucket], int]
+#: A row of a walk: its buckets, stored-item count and level (None for a head).
+Row = tuple[list[ChainedBucket], int, "_DiskLevel | None"]
+#: One probe round of a walk: (row index, key positions, block ids, hits).
+Round = tuple[int, np.ndarray, np.ndarray, np.ndarray]
+
+
 def _gather_is_cheaper(n: int, per_block: int, stored: int) -> bool:
     """Should ``n`` keys probe their own blocks of ``per_block`` records
     rather than one sorted copy of a bucket row holding ``stored`` items?
@@ -48,6 +56,21 @@ def _gather_is_cheaper(n: int, per_block: int, stored: int) -> bool:
     from ``12 · stored`` at b = 1024, where it outgrows the CPU caches.
     """
     return n * per_block <= 10 * stored
+
+
+def _walk_is_cheaper(n: int) -> bool:
+    """Should a delete batch of ``n`` hit keys take the removing walk
+    (:meth:`LogMethodHashTable.delete_levels_batch`) rather than the
+    per-key loop?
+
+    Measured on one Theorem 2 arena shard with b = 1024, m = 4096 and
+    75k or 125k keys (9 alternating runs, median µs per batch, loop vs
+    walk): n = 1 12 vs 137, n = 16 153–159 vs 197–235, n = 24 227–234
+    vs 222–249, n = 32 305–312 vs 305–314, n = 40 390 vs 333–345,
+    n = 64 601–618 vs 406–433.  The walk's fixed cost is about 130 µs
+    of array operations; the loop costs about 10 µs a key.
+    """
+    return n >= 32
 
 
 class _DiskLevel:
@@ -180,8 +203,8 @@ class LogMethodHashTable(ExternalDictionary):
 
         The deletion counterpart of :meth:`lookup_disk_only`: probes the
         key's bucket in each non-empty level (charged chain walk) and
-        rewrites the block it is found in.  ``hashed`` lets batch
-        callers pass a precomputed ``h(key)``.
+        rewrites the block it is found in.  ``hashed`` lets a caller that
+        already hashed the key (the Theorem 2 table) pass ``h(key)``.
         """
         hv = int(self.h.hash(key)) if hashed is None else hashed
         for lvl in self._levels:
@@ -278,39 +301,17 @@ class LogMethodHashTable(ExternalDictionary):
         *,
         cost_out: list[int] | None = None,
     ) -> np.ndarray:
-        """Vectorised-hash deletes; the level walk stays per key.
-
-        Deletion never migrates levels, so one ``hash_array`` call
-        serves the whole batch; ``H_0`` hits stay free, disk hits charge
-        exactly the scalar chain walk.
+        """``H_0`` by set removals, then one removing walk of the levels
+        (:meth:`delete_levels_batch`) where :func:`_walk_is_cheaper`;
+        smaller batches take the per-key loop.  Either way each key is
+        charged what :meth:`delete` charges it.
         """
         key_list, arr = normalize_keys(keys)
-        n = len(key_list)
-        out = np.empty(n, dtype=bool)
-        if n == 0:
-            return out
-        hv = self.h.hash_array(arr).tolist()
-        h0 = self._h0
-        stats = self.ctx.stats
-        for i in range(n):
-            key = key_list[i]
-            if key in h0:
-                h0.discard(key)
-                self._shadow.discard(key)
-                self._size -= 1
-                self.stats.deletes += 1
-                self._charge_memory()
-                out[i] = True
-                if cost_out is not None:
-                    cost_out.append(0)
-                continue
-            if cost_out is None:
-                out[i] = self.delete_disk_only(key, hashed=hv[i])
-            else:
-                before = stats.reads + stats.writes
-                out[i] = self.delete_disk_only(key, hashed=hv[i])
-                cost_out.append(stats.reads + stats.writes - before)
-        return out
+        if not _walk_is_cheaper(len(key_list)):
+            return super().delete_batch(key_list, cost_out=cost_out)
+        in_mem = self.delete_from_memory(key_list)
+        out, _ = self.delete_levels_batch(arr, ~in_mem, cost_out=cost_out)
+        return out | in_mem
 
     # -- vectorised probing helpers ---------------------------------------------------
 
@@ -320,60 +321,67 @@ class LogMethodHashTable(ExternalDictionary):
             map(self._h0.__contains__, key_list), dtype=bool, count=len(key_list)
         )
 
-    def probe_levels_batch(
-        self,
-        arr: np.ndarray,
-        mask: np.ndarray,
-        *,
-        head: tuple[list[ChainedBucket], int] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`lookup_disk_only` for ``arr[mask]``.
+    def delete_from_memory(self, key_list: list[int]) -> np.ndarray:
+        """:meth:`delete`'s free ``H_0`` branch for every key it takes, in
+        order (a repeated key's first occurrence takes it); returns the
+        mask of the keys removed."""
+        out = self.memory_membership(key_list)
+        h0 = self._h0
+        for i in np.flatnonzero(out).tolist():
+            key = key_list[i]
+            if key in h0:
+                h0.remove(key)
+                self._shadow.discard(key)
+            else:
+                out[i] = False
+        taken = int(np.count_nonzero(out))
+        self._size -= taken
+        self.stats.deletes += taken
+        self._charge_memory()
+        return out
 
-        Each masked key probes its bucket in ``head`` — a bucket row
-        probed ahead of the levels with its stored-item count, the
-        Theorem 2 table's ``Ĥ`` — then in each non-empty level, stopping
-        at its first hit: the scalar walk.  Address, then gather: every
-        row's primaries are contiguous, so a still-searching key's block
-        is ``row[0].primary + h % d`` and one :meth:`Disk.keys_in` call
-        probes all of them; a key that misses a chained bucket takes one
-        more round per chain block.  Large batches test the primary
-        round against the whole row's records instead (an item lives
-        only in its own bucket, so the answer is the same) where
-        :func:`_gather_is_cheaper` says that costs less.  Each key is
-        hashed once; the walk's block ids are charged by
-        :meth:`~repro.em.disk.Disk.charge_walk`.  Returns ``(found,
-        charged reads)`` per key of ``arr``, zero for unmasked keys.
-        """
-        rows = [] if head is None else [head]
-        rows += [
-            (lvl.buckets, lvl.count)
+    def _rows(self, head: Head | None) -> list[Row]:
+        """The walk's bucket rows: ``head``, then each non-empty level."""
+        rows = [] if head is None else [(*head, None)]
+        return rows + [
+            (lvl.buckets, lvl.count, lvl)
             for lvl in self._levels
             if lvl is not None and not lvl.empty
         ]
-        found = np.zeros(len(arr), dtype=bool)
-        cost = np.zeros(len(arr), dtype=np.int64)
-        probing = np.flatnonzero(mask)
-        if not rows or probing.size == 0:
-            return found, cost
+
+    def _walk(self, keys: np.ndarray, rows: list[Row], *, remove: bool) -> list[Round]:
+        """The scalar walk of every key over ``rows``, stopping at its
+        first hit, as probe rounds in walk order.
+
+        Address, then gather: every row's primaries are contiguous, so a
+        still-searching key's block is ``row[0].primary + h % d`` and one
+        :meth:`Disk.keys_in` call probes all of them (with ``remove``,
+        one :meth:`Disk.remove_uncharged` call, which removes the hits);
+        a key that misses a chained bucket takes one more round per chain
+        block.  Large lookup batches test the primary round against the
+        whole row's records instead (an item lives only in its own
+        bucket, so the answer is the same) where :func:`_gather_is_cheaper`
+        says that costs less.  Each key is hashed once.  A round is
+        ``(row index, key positions, block ids, hits)``.
+        """
         disk = self.ctx.disk
-        keys = arr[probing]
-        hv = self.h.hash_array(keys)
+        gather = disk.remove_uncharged if remove else disk.keys_in
         per_block = disk.b // disk.record_words
-        # (key positions, block ids) of each probe round, in walk order.
-        rounds: list[tuple[np.ndarray, np.ndarray]] = []
+        hv = self.h.hash_array(keys)
+        rounds: list[Round] = []
         searching = np.arange(len(keys))
-        for row, stored in rows:
+        for r, (row, stored, _) in enumerate(rows):
             if searching.size == 0:
                 break
             bkt = (hv[searching] % np.uint64(len(row))).astype(np.int64)
             bids = bkt + row[0].primary
             probe = keys[searching]
-            if _gather_is_cheaper(len(probe), per_block, stored):
-                hit = disk.keys_in(bids, probe)
+            if remove or _gather_is_cheaper(len(probe), per_block, stored):
+                hit = gather(bids, probe)
             else:
                 items = concat_records(disk.records_arr(b.primary) for b in row)
                 hit = membership(probe, items)
-            rounds.append((searching, bids))
+            rounds.append((r, searching, bids, hit.copy()))
             missed = np.flatnonzero(~hit)
             if len(missed) > len(row):  # one pass over the row is cheaper
                 missed = missed[np.array([bool(b._chain) for b in row])[bkt[missed]]]
@@ -386,15 +394,108 @@ class LogMethodHashTable(ExternalDictionary):
             while chained:
                 pos = np.array([i for i, _ in chained])
                 ids = np.array([chain[depth] for _, chain in chained])
-                hit[pos] = disk.keys_in(ids, probe[pos])
-                rounds.append((searching[pos], ids))
+                hit[pos] = got = gather(ids, probe[pos])
+                rounds.append((r, searching[pos], ids, got))
                 depth += 1
                 chained = [(i, c) for i, c in chained if not hit[i] and len(c) > depth]
             searching = searching[~hit]
-        found[probing] = True
-        found[probing[searching]] = False
-        cost[probing] = disk.charge_walk(len(keys), rounds)
+        return rounds
+
+    def probe_levels_batch(
+        self,
+        arr: np.ndarray,
+        mask: np.ndarray,
+        *,
+        head: Head | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`lookup_disk_only` for ``arr[mask]``.
+
+        Each masked key probes its bucket in ``head`` — a bucket row
+        probed ahead of the levels with its stored-item count, the
+        Theorem 2 table's ``Ĥ`` — then in each non-empty level, stopping
+        at its first hit: one :meth:`_walk`, whose block ids are charged
+        by :meth:`~repro.em.disk.Disk.charge_walk`.  Returns ``(found,
+        charged reads)`` per key of ``arr``, zero for unmasked keys.
+        """
+        found = np.zeros(len(arr), dtype=bool)
+        cost = np.zeros(len(arr), dtype=np.int64)
+        probing = np.flatnonzero(mask)
+        rows = self._rows(head)
+        if not rows or probing.size == 0:
+            return found, cost
+        rounds = self._walk(arr[probing], rows, remove=False)
+        for _, pos, _, hit in rounds:
+            found[probing[pos[hit]]] = True
+        walk = [(pos, bids) for _, pos, bids, _ in rounds]
+        cost[probing] = self.ctx.disk.charge_walk(len(probing), walk)
         return found, cost
+
+    def delete_levels_batch(
+        self,
+        arr: np.ndarray,
+        mask: np.ndarray,
+        *,
+        head: Head | None = None,
+        cost_out: list[int] | None = None,
+    ) -> tuple[np.ndarray, int]:
+        """Vectorised :meth:`delete_disk_only` for ``arr[mask]``, in order.
+
+        The rows of :meth:`probe_levels_batch`, walked by one removing
+        :meth:`_walk`: a repeated key's first occurrence removes it, so
+        the rest miss and walk every row, as in the loop.  A level the
+        batch empties is skipped by the keys after the one that emptied
+        it, as the loop skips empty levels; ``head`` is probed by every
+        key.  The probes are charged in scalar key-major order by
+        :meth:`~repro.em.disk.Disk.charge_sweep` with the hits written,
+        :meth:`~repro.em.disk.Disk.remove_record`'s rule: in one call, or
+        key by key when ``cost_out`` takes each key's charged I/Os (zero
+        for unmasked keys).  Levels lose their hits here; returns which
+        keys of ``arr`` were removed and how many of them ``head`` lost.
+        """
+        removed = np.zeros(len(arr), dtype=bool)
+        cost = np.zeros(len(arr), dtype=np.int64)
+        probing = np.flatnonzero(mask)
+        rows = self._rows(head)
+        rounds = self._walk(arr[probing], rows, remove=True) if probing.size else []
+        charged: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        head_hits = 0
+        for r, (_, _, lvl) in enumerate(rows):
+            mine = [(pos, bids, hit) for rr, pos, bids, hit in rounds if rr == r]
+            if not mine:  # every key stopped before this row
+                break
+            gone = np.concatenate([pos[hit] for pos, _, hit in mine])
+            removed[probing[gone]] = True
+            if lvl is None:
+                head_hits = len(gone)
+            elif len(gone):
+                lvl.count -= len(gone)
+                self._shadow.difference_update(arr[probing[gone]].tolist())
+                self._size -= len(gone)
+                self.stats.deletes += len(gone)
+                if lvl.empty:  # emptied by this batch: no later key probes it
+                    last = gone.max()
+                    mine = [(p[p <= last], b[p <= last], h[p <= last]) for p, b, h in mine]
+            charged += mine
+        if charged:
+            pos = np.concatenate([p for p, _, _ in charged])
+            order = np.argsort(pos, kind="stable")
+            pos = pos[order]
+            bids = np.concatenate([b for _, b, _ in charged])[order]
+            hit = np.concatenate([h for _, _, h in charged])[order]
+            disk, stats = self.ctx.disk, self.ctx.stats
+            if cost_out is None:
+                disk.charge_sweep(bids, written=hit)
+            else:
+                ends = np.searchsorted(pos, np.arange(len(probing)), side="right")
+                start = 0
+                for i, end in zip(probing.tolist(), ends.tolist()):
+                    before = stats.total
+                    disk.charge_sweep(bids[start:end], written=hit[start:end])
+                    cost[i] = stats.total - before
+                    start = end
+        if cost_out is not None:
+            cost_out.extend(cost.tolist())
+        return removed, head_hits
 
     # -- migration -------------------------------------------------------------------
 

@@ -18,8 +18,10 @@ charged I/O discipline run over different physical representations:
   the batch lookups' address-then-gather walk (each key against the one
   block its hash addresses, at every batch size below the walk's
   gather/sort crossover of about ``10 · stored`` gathered records) with
-  one row gather.  Whole :class:`Block` handles are materialised only
-  for the scalar ``load``/``stage``/``store`` discipline.
+  one row gather, and :meth:`StorageBackend.remove_keys` a round of the
+  batch deletes' walk the same way.  Whole :class:`Block` handles are
+  materialised only for the scalar ``load``/``stage``/``store``
+  discipline.
 * :class:`DurableArenaBackend` — the arena with its record matrix and
   length vector memory-mapped onto files (plain ndarray views over
   shared ``mmap`` buffers, so hot paths stay off the ``np.memmap``
@@ -170,6 +172,16 @@ class StorageBackend(abc.ABC):
         stored contents — the deletion fast paths rely on the resulting
         record order matching the whole-block path bit for bit.
         """
+
+    def remove_keys(self, block_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """``remove_key(block_ids[i], keys[i])`` for every ``i`` in order, as a bool array.
+
+        The batch deletes' address-then-remove probe.  This default makes
+        one :meth:`remove_key` call per pair, in order, so decorators see
+        one data-path write per probed block.
+        """
+        pairs = map(self.remove_key, block_ids.tolist(), keys.tolist())
+        return np.fromiter(pairs, dtype=bool, count=len(keys))
 
     @abc.abstractmethod
     def is_fresh(self, block_id: int) -> bool:
@@ -474,6 +486,57 @@ class ArenaBackend(StorageBackend):
         row[i : n - 1] = row[i + 1 : n]
         self._len[slot] = n - 1
         return True
+
+    #: Pairs per :meth:`remove_keys` gather: at most 1024 × b records.
+    _REMOVE_CHUNK = 1024
+
+    def remove_keys(self, block_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """One row gather finds every pair; each hit's tail shifts left.
+
+        A block's records are distinct (every table keeps set semantics),
+        so a repeated pair finds the record its first occurrence removes
+        and misses, as in the loop.  Chunks of :attr:`_REMOVE_CHUNK` pairs
+        run in order, bounding the gather.
+        """
+        if self._odd:
+            return super().remove_keys(block_ids, keys)
+        slots = np.fromiter(
+            map(self._slot.__getitem__, block_ids.tolist()), np.int64, count=len(keys)
+        )
+        hit = np.zeros(len(keys), dtype=bool)
+        step = self._REMOVE_CHUNK
+        for lo in range(0, len(keys), step):
+            hit[lo : lo + step] = self._remove_gathered(
+                slots[lo : lo + step], keys[lo : lo + step]
+            )
+        return hit
+
+    def _remove_gathered(self, slots: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        lengths = self._len[slots]
+        width = max(int(lengths.max(initial=0)), 1)
+        eq = self._data[slots, :width] == keys[:, None]
+        first = eq.argmax(axis=1)
+        hit = eq[np.arange(len(keys)), first] & (first < lengths)
+        at = np.flatnonzero(hit)
+        # Block by block, last record first, so no shift moves a record a
+        # later one in the same block still has to find; a repeated pair
+        # sorts right after its first occurrence.  Shifting up to the
+        # block's old length only moves stale records past the new one.
+        base = slots[at] * self._cap
+        order = np.argsort(base + (self._cap - 1 - first[at]), kind="stable")
+        at, base = at[order], base[order]
+        start = (base + first[at]).tolist()
+        end = (base + lengths[at] - 1).tolist()
+        flat = self._data.reshape(-1)  # a view: the arena is C-contiguous
+        done = -1
+        for i, s, e in zip(at.tolist(), start, end):
+            if s == done:
+                hit[i] = False
+            else:
+                flat[s:e] = flat[s + 1 : e + 1]
+                done = s
+        np.subtract.at(self._len, slots[hit], 1)
+        return hit
 
     def is_fresh(self, block_id: int) -> bool:
         odd = self._odd.get(block_id)

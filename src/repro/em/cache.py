@@ -31,8 +31,9 @@ Coherence discipline of :class:`CachedDisk`: a frame is an LRU
 the block.  Every mutating path — ``write``/``store``/``free``, the
 copy-light loans (``load``/``stage``), ``remove_record`` on a hit, and
 the uncharged bulk mutators — drops the resident frame (write-invalidate;
-draining an empty block mutates nothing and keeps it), so a resident
-block always equals its committed backend state: whole-block hits
+draining an empty block mutates nothing and keeps it; a delete walk's
+``remove_uncharged`` leaves it to the ``charge_sweep`` that follows), so
+a resident block always equals its committed backend state: whole-block hits
 (``read``/``scan``/``read_records``) read the backend without charging,
 and probe hits answer from the frame's memo, a set of the block's
 records built on its first probe hit and dropped with the frame.
@@ -45,7 +46,8 @@ lookup batch's walk of block ids with
 simulation of Mattson et al. (1970) over plain ints — to the same hits,
 misses, evictions and resident order as the per-id probes.
 :meth:`CachedDisk.charge_sweep` runs the per-block loop a bucket sweep
-replaces: a streaming read, then write-invalidate and the write.
+or a delete walk replaces: a streaming read, then write-invalidate and
+the write.
 
 A cache of ``capacity_blocks`` blocks consumes ``capacity_blocks * b``
 words of the memory budget.  Cached contexts model a machine with ``m``
@@ -541,12 +543,10 @@ class CachedDisk(Disk):
             if key not in self._members(block_id):
                 return False
             self._drop_frame(block_id)
-            backend = self.backend
-            fresh = backend.is_fresh(block_id)
-            backend.remove_key(block_id, key)
+            self.backend.remove_key(block_id, key)
             self._gen[block_id] = self._gen.get(block_id, 0) + 1
             self._loans.pop(block_id, None)
-            self.stats.record_write(block_id, fresh=fresh)
+            self.stats.record_write(block_id)
             return True
         self.cache.stats.misses += 1
         return super().remove_record(block_id, key)

@@ -30,12 +30,14 @@ Two access disciplines coexist:
   suite in ``tests/test_batch_parity.py`` pins this down.
 
 A third tier, the **uncharged record-level API**
-(:meth:`records_arr`, :meth:`keys_in`, :meth:`append_uncharged`,
-:meth:`drain_uncharged`, ...), serves the batch engine: it reads and
-mutates the backend directly — no :class:`Block` handle, no charge.  A
-batch path then charges what it did through one of two bulk methods:
-:meth:`charge_walk` for a lookup batch's probe walk, :meth:`charge_sweep`
-for a bucket sweep that reads each block once and writes some back.
+(:meth:`records_arr`, :meth:`keys_in`, :meth:`remove_uncharged`,
+:meth:`append_uncharged`, :meth:`drain_uncharged`, ...), serves the
+batch engine: it reads and mutates the backend directly — no
+:class:`Block` handle, no charge.  A batch path then charges what it did
+through one of two bulk methods: :meth:`charge_walk` for a lookup
+batch's probe walk, :meth:`charge_sweep` for a sweep that reads each
+block once and writes some back (a bucket-row sweep, or a delete
+batch's walk with its hits written).
 Each charges exactly what its per-block loop of charged calls would,
 and :class:`~repro.em.cache.CachedDisk` overrides both, so the
 footnote-2 combining and the cache's hit-or-miss decision live in this
@@ -330,19 +332,19 @@ class Disk:
         — one charged read, then (only on a hit) one charged write that
         combines under the footnote-2 policy — but executed through the
         backend's record-level :meth:`~StorageBackend.remove_key`, so
-        no :class:`Block` handle is materialised.  The deletion batch
-        paths use this for the ubiquitous chain-free bucket probe.
+        no :class:`Block` handle is materialised.  The per-key delete
+        loops use this for every bucket block they probe.  A hit block
+        held the key, so its write is never a first write.
         """
         backend = self.backend
         if block_id not in backend:
             raise InvalidBlockError(f"access to unknown block {block_id}")
-        fresh = backend.is_fresh(block_id)
         self.stats.record_read(block_id)
         if not backend.remove_key(block_id, key):
             return False
         self._gen[block_id] = self._gen.get(block_id, 0) + 1
         self._loans.pop(block_id, None)
-        self.stats.record_write(block_id, fresh=fresh)
+        self.stats.record_write(block_id)
         return True
 
     def read_records(self, block_ids: list[int]) -> list[int]:
@@ -411,8 +413,10 @@ class Disk:
         The reference is the per-block loop of :meth:`read_records` (unless
         ``read`` is false) and :meth:`store`, which the bucket-row sweeps
         of :mod:`repro.tables.overflow` replace: call it before their
-        uncharged mutations.  Uncached it is O(1) counter arithmetic
-        (:meth:`IOStats.record_sweep`).
+        uncharged mutations.  With ``written`` the hits and no ``fresh``
+        it is also the loop of :meth:`remove_record` a delete walk
+        replaces, which calls it after :meth:`remove_uncharged`.  Uncached
+        it is O(1) counter arithmetic (:meth:`IOStats.record_sweep`).
         """
         self.stats.record_sweep(block_ids, written, fresh, read=read)
 
@@ -436,6 +440,23 @@ class Disk:
         """Pairwise record membership, ``keys[i]`` in ``block_ids[i]``
         (uncharged; the batch lookups' address-then-gather probe)."""
         return self.backend.contains_keys(block_ids, keys)
+
+    def remove_uncharged(self, block_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Pairwise record removal, ``keys[i]`` from ``block_ids[i]`` in
+        order (uncharged; the batch deletes' address-then-remove probe).
+
+        Returns the hit mask; each hit is a committed write of its block.
+        Unlike the other mutators it leaves a cache's frames alone: the
+        walk then charges through :meth:`charge_sweep`, which must see
+        each block's residency as the per-key loop would and drops the
+        frames of the blocks written.
+        """
+        hit = self.backend.remove_keys(block_ids, keys)
+        gen, loans = self._gen, self._loans
+        for bid in block_ids[hit].tolist():
+            gen[bid] = gen.get(bid, 0) + 1
+            loans.pop(bid, None)
+        return hit
 
     def append_uncharged(self, block_id: int, items: list[int]) -> None:
         """Append ``items`` to ``block_id`` without charging (bulk engine)."""

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 import contextlib
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class IOPolicy:
@@ -159,16 +161,17 @@ class IOStats:
         (unless ``read`` is false) and then :meth:`record_write` where
         ``written`` says so (every block when ``None``), ``fresh`` marking
         first writes (a subset of the written blocks; none when ``None``).
-        A write right after the read of its own block combines under the
-        footnote-2 policy.  A write-only sweep (``read=False``) writes
-        every block, and only its first write can meet the pending read.
+        The masks may be lists or bool arrays.  A write right after the
+        read of its own block combines under the footnote-2 policy.  A
+        write-only sweep (``read=False``) writes every block, and only its
+        first write can meet the pending read.
         """
         n = len(block_ids)
         if n == 0:
             return
         policy = self.policy
-        nwritten = n if written is None else int(sum(written))
-        nfresh = 0 if fresh is None else int(sum(fresh))
+        nwritten = n if written is None else int(np.count_nonzero(written))
+        nfresh = 0 if fresh is None else int(np.count_nonzero(fresh))
         self.allocations += nfresh
         charged = nwritten if policy.charge_allocation else nwritten - nfresh
         if read:

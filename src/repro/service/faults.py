@@ -150,7 +150,9 @@ class BackendDecorator(StorageBackend):
     ``records_arr``, ``contains_key``; writes ``commit``, ``append``,
     ``replace``, ``drain``, ``remove_key`` — hand :meth:`_guard` their
     kind, block id and the inner call; ``contains_keys`` keeps the base
-    loop over ``contains_key``, one guarded read per probed block.
+    loop over ``contains_key``, one guarded read per probed block, and
+    ``remove_keys`` the base loop over ``remove_key``, one guarded write
+    per probed block.
     Lifecycle and introspection calls (``create``, ``delete``,
     ``length`` ...) pass straight through: faults model the data path,
     not the allocator.

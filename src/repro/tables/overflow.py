@@ -9,7 +9,8 @@ un-charged in EM analyses).
 :class:`ChainedBucket` encapsulates the I/O discipline:
 
 * a lookup reads the primary block, then overflow blocks until found —
-  expected ``1 + 2^{-Ω(b)}`` I/Os at constant load;
+  expected ``1 + 2^{-Ω(b)}`` I/Os at constant load; a delete walks the
+  same blocks and writes the one it removes from;
 * an insert reads/writes the first block with room (one combined I/O
   under the footnote-2 policy), allocating a new tail block when all are
   full.
@@ -114,21 +115,16 @@ class ChainedBucket:
         return True
 
     def delete(self, key: int) -> bool:
-        """Remove ``key`` from whichever chain block holds it."""
-        disk = self.disk
+        """Remove ``key`` from whichever chain block holds it.
+
+        Each block up to the hit is one :meth:`~repro.em.disk.Disk.remove_record`:
+        a read, plus a combining write on the hit, served record-level
+        without materialising a Block.
+        """
+        remove = self.disk.remove_record
         if not self._chain:
-            # Chain-free bucket: the probe is a single read (+ combining
-            # write on a hit), served record-level without materialising
-            # a Block — same charge, same resulting record order.
-            return disk.remove_record(self.primary, key)
-        for bid in self.block_ids:
-            blk = disk.load(bid)
-            if blk.remove(key):
-                disk.store(bid)
-                return True
-            if blk.header.get("next") is None:
-                break
-        return False
+            return remove(self.primary, key)
+        return any(remove(bid, key) for bid in self.block_ids)
 
     def read_all(self) -> list[int]:
         """Read every block of the chain (charged) and return all items."""

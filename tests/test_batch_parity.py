@@ -38,7 +38,10 @@ Two further axes ride on top since the pluggable-backend PR:
   past the bootstrap, with non-empty levels, chains in Ĥ and in a level
   (cramped) or up to six blocks deep (log-method), take the
   address-then-gather walk; costs, the pending RMW block and the pool
-  must match the scalar lookups.
+  must match the scalar lookups;
+* **delete batches** — 1 key and either side of the removing walk's
+  crossover, on the same shapes, with every pool size: repeated keys,
+  misses, ``H_0`` keys and a batch that empties a log-method level.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import pytest
 from repro.baselines.btree import BTree
 from repro.baselines.buffer_tree import BufferTree
 from repro.baselines.lsm import LSMTree
+from repro.core import logmethod
 from repro.core.buffered import BufferedHashTable
 from repro.core.logmethod import LogMethodHashTable
 from repro.em import PAPER_POLICY, STRICT_POLICY, CachedDisk, Disk, make_context
@@ -393,6 +397,98 @@ def test_small_batches_take_the_gather_walk(shape, cache_blocks, monkeypatch):
                 assert _cache_state(ctx_s, table_s) == _cache_state(ctx_b, table_b)
         assert gathers and max(gathers) <= size, "the walk never gathered"
     _assert_same(_state(ctx_s, table_s), _state(ctx_b, table_b), "small batches")
+
+
+def _memory_keys(table):
+    """The keys in the memory-resident level ``H_0``, sorted."""
+    inner = table._recent if isinstance(table, BufferedHashTable) else table
+    return sorted(inner._h0)
+
+
+#: The smallest delete batch that takes the removing walk.
+WALK_FROM = next(n for n in range(1, 10**4) if logmethod._walk_is_cheaper(n))
+
+
+@pytest.mark.parametrize("cache_blocks", [0, 2, 48])
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@pytest.mark.parametrize("shape", sorted(SMALL_BATCH_SHAPES))
+def test_delete_batches_around_the_walk_crossover(shape, policy_name, cache_blocks,
+                                                  monkeypatch):
+    """Delete batches of 1 key, the crossover ± 1 and 420 keys — live keys
+    in Ĥ, the levels and ``H_0``, a repeated key and a miss, after lookups
+    that fill the pool — return, cost and charge what the scalar deletes
+    do and leave the pending RMW block and the pool where they do; the
+    walk runs from the crossover on.  The last batch empties a log-method
+    level, with keys after the one that empties it."""
+    walked = []
+    walk = LogMethodHashTable.delete_levels_batch
+
+    def spy(table, arr, mask, **kw):
+        walked.append(len(arr))
+        return walk(table, arr, mask, **kw)
+
+    factory, ctx_kwargs, n_keys = SMALL_BATCH_SHAPES[shape]
+    rnd = random.Random(89)
+    keys = rnd.sample(range(10**12), n_keys)
+    # The arena: its remove_keys is the gather the walk is for (the
+    # mapping backend's is the remove_key loop the other cases run).
+    ctx_s, ctx_b = (
+        make_context(policy=POLICIES[policy_name], cache_blocks=cache_blocks,
+                     hard_memory=False, backend="arena", **ctx_kwargs)
+        for _ in range(2)
+    )
+    table_s, table_b = factory(ctx_s), factory(ctx_b)
+    table_s.insert_many(keys)
+    table_b.insert_batch(keys)
+    monkeypatch.setattr(LogMethodHashTable, "delete_levels_batch", spy)
+
+    def check(batch, with_costs):
+        # Lookups first, so the deletes meet resident blocks in a pool.
+        probes = batch[::2] + rnd.sample(keys, 8)
+        assert table_b.lookup_batch(probes).tolist() == [table_s.lookup(k) for k in probes]
+        expected, expected_costs = [], []
+        for k in batch:
+            before = ctx_s.stats.snapshot()
+            expected.append(table_s.delete(k))
+            expected_costs.append(ctx_s.stats.delta_since(before).total)
+        # The walk charges in one sweep, or key by key to report costs.
+        costs = [] if with_costs else None
+        del walked[:]
+        assert table_b.delete_batch(batch, cost_out=costs).tolist() == expected
+        assert costs in (None, expected_costs)
+        assert bool(walked) == (len(batch) >= WALK_FROM)
+        assert ctx_b.stats._last_read_block == ctx_s.stats._last_read_block
+        if cache_blocks:
+            assert _cache_state(ctx_s, table_s) == _cache_state(ctx_b, table_b)
+        _assert_same(_state(ctx_s, table_s), _state(ctx_b, table_b), shape)
+        return expected
+
+    live = set(keys)
+    misses = iter(rnd.sample(range(10**12, 2 * 10**12), 100))
+    sizes = (1,) * 6 + (WALK_FROM - 1, WALK_FROM, WALK_FROM + 1) * 2 + (420,)
+    for i, size in enumerate(sizes):
+        memory = _memory_keys(table_s)
+        if size < 3:
+            batch = [rnd.choice([*sorted(live)[:1], *memory[:1], next(misses)])]
+        else:
+            batch = rnd.sample(sorted(live), size - 3) + memory[:1] + [next(misses)]
+            batch += [batch[0]] * (size - len(batch))
+            rnd.shuffle(batch)
+        assert len(batch) == size
+        check(batch, with_costs=i % 2 == 0)
+        live.difference_update(batch)
+
+    _, levels = _walk_rows(table_b)
+    row = min(levels, key=lambda r: sum(b.item_count() for b in r))
+    doomed = [x for bkt in row for x in bkt.peek_all()]
+    others = rnd.sample(sorted(live - set(doomed)), 2 * WALK_FROM + 20)
+    batch = doomed + others[:WALK_FROM]
+    rnd.shuffle(batch)
+    # Live keys of every row and misses, after the key that empties it.
+    check(batch + others[WALK_FROM:] + [next(misses) for _ in range(5)], with_costs=False)
+    assert not any(bkt.peek_all() for bkt in row), "the batch left the level non-empty"
+    table_s.check_invariants()
+    table_b.check_invariants()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

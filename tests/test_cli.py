@@ -169,6 +169,16 @@ class TestConfigErrors:
         assert err.startswith(f"{argv[0]}: ")
         assert "Traceback" not in err
 
+    def test_memory_budget_overrun_exits_2(self, capsys):
+        """A table and buffer pool that outgrow ``m`` mid-run (LSM 257 +
+        pool 128 > 384 words) exit 2 with the budget's message."""
+        argv = ["serve", "--table", "lsm", "--cache-blocks", "8", "--b", "16",
+                "--m", "256", "--shards", "2", "--n", "20000"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: memory over budget: 385 > m=384 words")
+        assert "Traceback" not in err
+
     def test_rejected_before_the_journal_opens(self, tmp_path, capsys):
         journal = tmp_path / "j.bin"
         assert main(["serve", "--m", "0", "--journal", str(journal)]) == 2

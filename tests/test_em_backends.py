@@ -89,6 +89,30 @@ class TestProtocol:
         assert backend.nonempty() == 2
         assert backend.words_stored() == 3
 
+    def test_remove_keys_equals_the_remove_key_loop(self, backend):
+        """Hit mask, record order and lengths match one ``remove_key`` per
+        pair, in order: several hits in one block, repeated pairs (the
+        second misses), a record left stale past its block's length on
+        the arena, and an empty block."""
+        twin = make_backend(backend.name, 8)
+        for be in (backend, twin):
+            be.create_many(range(4))
+            be.append(0, [1, 2, 3, 4, 5, 6])
+            be.append(1, [7, 8])
+            be.remove_key(1, 8)
+            be.append(2, [9])
+        block_ids = np.array([0, 0, 1, 0, 2, 0, 1, 3, 0, 2], dtype=np.int64)
+        keys = np.array([2, 5, 8, 2, 9, 1, 7, 4, 6, 9], dtype=np.uint64)
+        expected = [
+            twin.remove_key(b, k) for b, k in zip(block_ids.tolist(), keys.tolist())
+        ]
+        assert expected == [True, True, False, False, True, True, True, False,
+                            True, False]
+        assert backend.remove_keys(block_ids, keys).tolist() == expected
+        assert [backend.records(b) for b in range(4)] == [[3, 4], [], [], []]
+        assert [backend.length(b) for b in range(4)] == [twin.length(b) for b in range(4)]
+        assert backend.remove_keys(block_ids[:0], keys[:0]).tolist() == []
+
     def test_records_are_python_ints(self, backend):
         backend.create(0)
         backend.append(0, [1, 2, 3])
@@ -148,6 +172,20 @@ class TestArena:
         assert arena.contains_keys(block_ids[5:7], keys[5:7]).tolist() == [False] * 2
         assert arena.contains_keys(block_ids[:0], keys[:0]).tolist() == []
 
+    def test_remove_keys_runs_its_chunks_in_order(self, monkeypatch):
+        """Chunks of pairs see the removals of the chunks before them:
+        a pair repeated across a chunk boundary still misses."""
+        monkeypatch.setattr(ArenaBackend, "_REMOVE_CHUNK", 2)
+        arena = ArenaBackend(8)
+        arena.create_many(range(2))
+        arena.append(0, [1, 2, 3])
+        arena.append(1, [4, 5])
+        block_ids = np.array([0, 1, 0, 0, 1], dtype=np.int64)
+        keys = np.array([2, 5, 2, 3, 4], dtype=np.uint64)
+        assert arena.remove_keys(block_ids, keys).tolist() == [True, True, False,
+                                                               True, True]
+        assert (arena.records(0), arena.records(1)) == ([1], [])
+
     def test_odd_record_widths_fall_back(self):
         arena = ArenaBackend(8, record_words=1)
         arena.create(0, record_words=2)
@@ -161,6 +199,9 @@ class TestArena:
         ids = np.array([0, 1, 0], dtype=np.int64)
         keys = np.array([3, 5, 5], dtype=np.uint64)
         assert arena.contains_keys(ids, keys).tolist() == [True, True, False]
+        assert arena.remove_keys(ids, keys).tolist() == [True, True, False]
+        assert (arena.records(0), arena.records(1)) == ([1, 2, 4], [])
+        arena.append(0, [3])
         arena.delete(1)
         assert arena.words_stored() == 8
         assert arena.nonempty() == 1

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.em import IOPolicy, IOStats, PAPER_POLICY, STRICT_POLICY
@@ -99,11 +100,13 @@ POLICIES = [
 ]
 
 
+@pytest.mark.parametrize("arrays", [False, True], ids=["lists", "arrays"])
 @pytest.mark.parametrize("read", [True, False])
 @pytest.mark.parametrize("policy", POLICIES, ids=repr)
-def test_record_sweep_equals_the_per_block_loop(policy, read):
+def test_record_sweep_equals_the_per_block_loop(policy, read, arrays):
     """The O(1) sweep charge ends where record_read/record_write block by
-    block do: counters and pending block, whatever was pending before."""
+    block do: counters and pending block, whatever was pending before.
+    The masks may be lists or numpy arrays (a delete walk's hit mask)."""
     rnd = random.Random(5)
     for _ in range(300):
         n = rnd.randrange(1, 6)
@@ -124,6 +127,9 @@ def test_record_sweep_equals_the_per_block_loop(policy, read):
                 loop.record_read(bid)
             if written is None or written[i]:
                 loop.record_write(bid, fresh=fresh[i])
+        if arrays:
+            ids, fresh = np.array(ids), np.array(fresh)
+            written = None if written is None else np.array(written)
         bulk.record_sweep(ids, written, fresh, read=read)
         assert bulk.snapshot() == loop.snapshot(), (ids, written, fresh, pending)
         assert bulk._last_read_block == loop._last_read_block

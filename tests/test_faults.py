@@ -80,6 +80,10 @@ DATA_PATH = {
     "replace": ("write", lambda be: be.replace(0, [2, 4])),
     "drain": ("write", lambda be: be.drain(0)),
     "remove_key": ("write", lambda be: be.remove_key(0, 5)),
+    "remove_keys": (
+        "write",
+        lambda be: be.remove_keys(_ids(0), _ids(5)).tolist(),
+    ),
 }
 
 #: Every lifecycle/introspection method the decorators pass straight on.
@@ -154,6 +158,26 @@ class TestDecoratorRouting:
             faulty, policy=RetryPolicy(max_retries=1, backoff_s=0)
         )
         assert retrier.contains_keys(blocks, keys).tolist() == expected
+        assert (faulty.injected, retrier.retries, faulty.clock.ops) == (1, 1, 5)
+
+    def test_remove_keys_ticks_once_per_probed_block(self):
+        """A multi-block delete probe is one write per block, hit or miss,
+        in probe order, and a one-op burst on any of them heals under the
+        retry layer."""
+        blocks, keys = _ids(0, 1, 0, 0), _ids(5, 5, 5, 7)
+        expected = [True, False, False, True]
+        trace: list[str] = []
+        faulty = FaultInjectingBackend(_filled(), trace=trace)
+        assert faulty.remove_keys(blocks, keys).tolist() == expected
+        assert (faulty.clock.ops, trace) == (4, ["write"] * 4)
+        assert faulty.inner.records(0) == [3]
+        faulty = FaultInjectingBackend(
+            _filled(), schedule=FaultSchedule(write_faults={3: 1})
+        )
+        retrier = RetryingBackend(
+            faulty, policy=RetryPolicy(max_retries=1, backoff_s=0)
+        )
+        assert retrier.remove_keys(blocks, keys).tolist() == expected
         assert (faulty.injected, retrier.retries, faulty.clock.ops) == (1, 1, 5)
 
     @pytest.mark.parametrize("method", ["append", "replace"])
