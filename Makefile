@@ -10,8 +10,8 @@ help:
 	@echo "Targets:"
 	@echo "  make test          tier-1 verification: PYTHONPATH=src python -m pytest tests/ -x -q"
 	@echo "                     (includes the crash-recovery chaos suite)"
-	@echo "  make test-fast     quick subset: tables + parity + EM layer + hashing"
-	@echo "                     + the pinned paper points (tests/test_paper_claims.py)"
+	@echo "  make test-fast     quick subset: tables + parity + EM layer (disk, backends,"
+	@echo "                     cache) + hashing + the pinned paper points"
 	@echo "  make chaos-test    crash-point matrix only: journal/recovery/fault-injection"
 	@echo "  make overload-test open-loop traffic + admission/shedding/breaker invariants"
 	@echo "  make obs-test      observability: trace framing/determinism, metrics, relabelling"
@@ -28,7 +28,8 @@ help:
 test:
 	$(PY) -m pytest tests/ -x -q
 
-## Quick subset for inner-loop development (tables + parity + EM layer,
+## Quick subset for inner-loop development (tables + parity + EM layer:
+## the disk over every storage backend and the I/O ledger,
 ## the exact hash values every layout depends on,
 ## buffer-pool unit tests, the cached-vs-uncached relabelling contract,
 ## the skew-routing contracts: slot directory, rebalancer policy,
@@ -37,7 +38,7 @@ test:
 ## and the reproduced paper points pinned to their exact charged I/Os).
 test-fast:
 	$(PY) -m pytest tests/test_batch_parity.py tests/test_em_disk.py \
-	    tests/test_em_iostats.py tests/test_em_cache.py \
+	    tests/test_em_backends.py tests/test_em_iostats.py tests/test_em_cache.py \
 	    tests/test_cache_axis.py tests/test_buffered.py \
 	    tests/test_logmethod.py tests/test_rebalance.py \
 	    tests/test_obs.py tests/test_hashing.py \

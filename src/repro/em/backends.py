@@ -1,13 +1,13 @@
 """Pluggable storage backends: *where* blocks live, decoupled from the disk.
 
 :class:`~repro.em.disk.Disk` owns the I/O *accounting* (charged reads
-and writes, generation-tagged loans, footnote-2 combining); a
+and writes, footnote-2 combining, the cache's hit-or-miss decision); a
 :class:`StorageBackend` owns the block *store*.  The split lets one
 charged I/O discipline run over different physical representations:
 
 * :class:`MappingBackend` — the historical dict-of-:class:`Block`
-  store.  ``fetch`` hands out the live stored object, so the copy-light
-  loan API mutates in place and ``commit`` is usually a no-op.
+  store.  ``fetch`` hands out the live stored object (the disk copies
+  it for a caller that mutates) and ``commit`` stores the given one.
 * :class:`ArenaBackend` — fixed-width records in preallocated numpy
   arrays (one row per block slot, an int64 length vector, a free-slot
   list).  Record-level bulk operations (:meth:`StorageBackend.records_arr`,
@@ -20,8 +20,8 @@ charged I/O discipline run over different physical representations:
   gather/sort crossover of about ``10 · stored`` gathered records) with
   one row gather, and :meth:`StorageBackend.remove_keys` a round of the
   batch deletes' walk the same way.  Whole :class:`Block` handles are
-  materialised only for the scalar ``load``/``stage``/``store``
-  discipline.
+  materialised only for the scalar whole-block discipline
+  (``read``/``load``/``store``).
 * :class:`DurableArenaBackend` — the arena with its record matrix and
   length vector memory-mapped onto files (plain ndarray views over
   shared ``mmap`` buffers, so hot paths stay off the ``np.memmap``
@@ -89,14 +89,12 @@ class StorageBackend(abc.ABC):
     # -- lifecycle ----------------------------------------------------------
 
     @abc.abstractmethod
-    def create(self, block_id: int, *, record_words: int | None = None) -> None:
+    def create(self, block_id: int) -> None:
         """Register a fresh empty block under ``block_id``."""
 
-    def create_many(
-        self, block_ids: Iterable[int], *, record_words: int | None = None
-    ) -> None:
+    def create_many(self, block_ids: Iterable[int]) -> None:
         for bid in block_ids:
-            self.create(bid, record_words=record_words)
+            self.create(bid)
 
     @abc.abstractmethod
     def delete(self, block_id: int) -> None:
@@ -112,14 +110,16 @@ class StorageBackend(abc.ABC):
         """A :class:`Block` handle on the stored contents.
 
         The mapping backend returns the live stored object; the arena
-        materialises one.  Either way, mutations become durable only
-        after :meth:`commit` (which for the mapping backend's live
-        handle is naturally a no-op).
+        materialises one.  Callers treat it as read-only; a mutation is
+        stored by :meth:`commit`.
         """
 
     @abc.abstractmethod
-    def commit(self, block_id: int, block: Block, *, copy: bool = False) -> None:
-        """Make ``block``'s records and header the stored contents."""
+    def commit(self, block_id: int, block: Block) -> None:
+        """Make ``block``'s records and header the stored contents.
+
+        The backend may keep ``block`` itself: the caller hands it over.
+        """
 
     # -- record-level primitives (the batch-engine fast paths) ---------------
 
@@ -213,16 +213,11 @@ class MappingBackend(StorageBackend):
 
     # -- lifecycle ----------------------------------------------------------
 
-    def create(self, block_id: int, *, record_words: int | None = None) -> None:
-        self._blocks[block_id] = Block(
-            self.b, record_words=record_words or self.record_words
-        )
+    def create(self, block_id: int) -> None:
+        self._blocks[block_id] = Block(self.b, record_words=self.record_words)
 
-    def create_many(
-        self, block_ids: Iterable[int], *, record_words: int | None = None
-    ) -> None:
-        rw = record_words or self.record_words
-        b = self.b
+    def create_many(self, block_ids: Iterable[int]) -> None:
+        b, rw = self.b, self.record_words
         self._blocks.update((bid, Block(b, record_words=rw)) for bid in block_ids)
 
     def delete(self, block_id: int) -> None:
@@ -236,11 +231,10 @@ class MappingBackend(StorageBackend):
     def fetch(self, block_id: int) -> Block:
         return self._blocks[block_id]
 
-    def commit(self, block_id: int, block: Block, *, copy: bool = False) -> None:
+    def commit(self, block_id: int, block: Block) -> None:
         if block_id not in self._blocks:
             raise KeyError(block_id)
-        if block is not self._blocks[block_id]:
-            self._blocks[block_id] = block.copy() if copy else block
+        self._blocks[block_id] = block
 
     # -- record-level primitives -----------------------------------------------
 
@@ -300,11 +294,6 @@ class ArenaBackend(StorageBackend):
     arena stays as large as the *live* block count, not the historical
     allocation count.  Headers (O(1) structural words: chain pointers,
     overflow bits) live in a side dict keyed by block id.
-
-    Blocks allocated with a non-default ``record_words`` fall back to
-    plain :class:`Block` storage (the ``_odd`` dict) — no structure in
-    this library uses per-block record widths, but the disk API allows
-    them.
     """
 
     name = "arena"
@@ -323,7 +312,6 @@ class ArenaBackend(StorageBackend):
         self._slot: dict[int, int] = {}
         self._free_slots: list[int] = []
         self._headers: dict[int, dict] = {}
-        self._odd: dict[int, Block] = {}
 
     # -- slot management -------------------------------------------------------
 
@@ -347,31 +335,21 @@ class ArenaBackend(StorageBackend):
 
     # -- lifecycle ----------------------------------------------------------
 
-    def create(self, block_id: int, *, record_words: int | None = None) -> None:
-        rw = record_words or self.record_words
-        if rw != self.record_words:
-            self._odd[block_id] = Block(self.b, record_words=rw)
-            return
+    def create(self, block_id: int) -> None:
         slot = self._new_slot()
         self._len[slot] = 0
         self._slot[block_id] = slot
 
     def delete(self, block_id: int) -> None:
-        if block_id in self._odd:
-            del self._odd[block_id]
-        else:
-            self._free_slots.append(self._slot.pop(block_id))
+        self._free_slots.append(self._slot.pop(block_id))
         self._headers.pop(block_id, None)
 
     def __contains__(self, block_id: int) -> bool:
-        return block_id in self._slot or block_id in self._odd
+        return block_id in self._slot
 
     # -- whole-block access ---------------------------------------------------
 
     def fetch(self, block_id: int) -> Block:
-        odd = self._odd.get(block_id)
-        if odd is not None:
-            return odd
         slot = self._slot[block_id]
         n = int(self._len[slot])
         return Block(
@@ -381,10 +359,7 @@ class ArenaBackend(StorageBackend):
             header=self._headers.get(block_id),
         )
 
-    def commit(self, block_id: int, block: Block, *, copy: bool = False) -> None:
-        if block_id in self._odd:
-            self._odd[block_id] = block.copy() if copy else block
-            return
+    def commit(self, block_id: int, block: Block) -> None:
         slot = self._slot[block_id]
         data = block._data
         n = len(data)
@@ -398,29 +373,17 @@ class ArenaBackend(StorageBackend):
     # -- record-level primitives -----------------------------------------------
 
     def length(self, block_id: int) -> int:
-        odd = self._odd.get(block_id)
-        if odd is not None:
-            return len(odd)
         return int(self._len[self._slot[block_id]])
 
     def records(self, block_id: int) -> list[int]:
-        odd = self._odd.get(block_id)
-        if odd is not None:
-            return odd._data
         slot = self._slot[block_id]
         return self._data[slot, : self._len[slot]].tolist()
 
     def records_arr(self, block_id: int) -> np.ndarray:
-        odd = self._odd.get(block_id)
-        if odd is not None:
-            return np.asarray(odd._data, dtype=np.uint64)
         slot = self._slot[block_id]
         return self._data[slot, : self._len[slot]]
 
     def contains_key(self, block_id: int, key: int) -> bool:
-        odd = self._odd.get(block_id)
-        if odd is not None:
-            return key in odd._data
         slot = self._slot[block_id]
         return bool((self._data[slot, : self._len[slot]] == key).any())
 
@@ -430,8 +393,6 @@ class ArenaBackend(StorageBackend):
         Records at or past a block's length are stale, so a key counts
         as found only when its first match lies before that length.
         """
-        if self._odd:
-            return super().contains_keys(block_ids, keys)
         slots = np.fromiter(map(self._slot.__getitem__, block_ids.tolist()), np.int64)
         lengths = self._len[slots]
         # At least one column, so argmax never meets an empty row.
@@ -440,39 +401,23 @@ class ArenaBackend(StorageBackend):
         return eq[np.arange(len(keys)), first] & (first < lengths)
 
     def append(self, block_id: int, items: list[int]) -> None:
-        odd = self._odd.get(block_id)
-        if odd is not None:
-            odd._data = odd._data + items
-            return
         slot = self._slot[block_id]
         n = int(self._len[slot])
         self._data[slot, n : n + len(items)] = items
         self._len[slot] = n + len(items)
 
     def replace(self, block_id: int, items: list[int]) -> None:
-        odd = self._odd.get(block_id)
-        if odd is not None:
-            odd._data = items
-            return
         slot = self._slot[block_id]
         self._data[slot, : len(items)] = items
         self._len[slot] = len(items)
 
     def drain(self, block_id: int) -> list[int]:
-        odd = self._odd.get(block_id)
-        if odd is not None:
-            out = odd._data
-            odd._data = []
-            return out
         slot = self._slot[block_id]
         out = self._data[slot, : self._len[slot]].tolist()
         self._len[slot] = 0
         return out
 
     def remove_key(self, block_id: int, key: int) -> bool:
-        odd = self._odd.get(block_id)
-        if odd is not None:
-            return odd.remove(key)
         slot = self._slot[block_id]
         n = int(self._len[slot])
         if n == 0:
@@ -498,8 +443,6 @@ class ArenaBackend(StorageBackend):
         and misses, as in the loop.  Chunks of :attr:`_REMOVE_CHUNK` pairs
         run in order, bounding the gather.
         """
-        if self._odd:
-            return super().remove_keys(block_ids, keys)
         slots = np.fromiter(
             map(self._slot.__getitem__, block_ids.tolist()), np.int64, count=len(keys)
         )
@@ -539,9 +482,6 @@ class ArenaBackend(StorageBackend):
         return hit
 
     def is_fresh(self, block_id: int) -> bool:
-        odd = self._odd.get(block_id)
-        if odd is not None:
-            return not odd._data and not odd.header
         return (
             self._len[self._slot[block_id]] == 0
             and block_id not in self._headers
@@ -550,20 +490,18 @@ class ArenaBackend(StorageBackend):
     # -- introspection ----------------------------------------------------------
 
     def ids(self) -> list[int]:
-        return sorted([*self._slot, *self._odd]) if self._odd else sorted(self._slot)
+        return sorted(self._slot)
 
     def count(self) -> int:
-        return len(self._slot) + len(self._odd)
+        return len(self._slot)
 
     def nonempty(self) -> int:
         live = np.fromiter(self._slot.values(), dtype=np.int64, count=len(self._slot))
-        n = int(np.count_nonzero(self._len[live])) if live.size else 0
-        return n + sum(1 for blk in self._odd.values() if blk._data)
+        return int(np.count_nonzero(self._len[live])) if live.size else 0
 
     def words_stored(self) -> int:
         live = np.fromiter(self._slot.values(), dtype=np.int64, count=len(self._slot))
-        words = int(self._len[live].sum()) * self.record_words if live.size else 0
-        return words + sum(blk.used_words for blk in self._odd.values())
+        return int(self._len[live].sum()) * self.record_words if live.size else 0
 
 
 class DurableArenaBackend(ArenaBackend):
@@ -577,7 +515,7 @@ class DurableArenaBackend(ArenaBackend):
     * ``arena.u64``   — the record matrix, row-major ``uint64``;
     * ``lengths.i64`` — per-slot record counts, ``int64``;
     * ``meta.pkl``    — everything O(1)-per-block that is not
-      fixed-width (slot map, free list, headers, odd-width blocks),
+      fixed-width (slot map, free list, headers),
       written atomically (tmp + fsync + ``os.replace``) by
       :meth:`flush`.
 
@@ -668,7 +606,6 @@ class DurableArenaBackend(ArenaBackend):
             "slot": dict(self._slot),
             "free_slots": list(self._free_slots),
             "headers": {bid: dict(h) for bid, h in self._headers.items()},
-            "odd": dict(self._odd),
         }
         target = Path(self.path, self._META_FILE)
         fd, tmp = tempfile.mkstemp(dir=self.path, prefix=".meta-")
@@ -698,7 +635,6 @@ class DurableArenaBackend(ArenaBackend):
         self._slot = dict(meta["slot"])
         self._free_slots = list(meta["free_slots"])
         self._headers = {bid: dict(h) for bid, h in meta["headers"].items()}
-        self._odd = dict(meta["odd"])
         return self
 
     # -- pickling (snapshot/restore) -----------------------------------------

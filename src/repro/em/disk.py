@@ -7,27 +7,26 @@ A convenience :meth:`modify` context manager expresses the ubiquitous
 read-modify-write pattern and benefits from the footnote-2 combining in
 the I/O policy.
 
-Since the pluggable-backend refactor the disk no longer stores blocks
-itself: a :class:`~repro.em.backends.StorageBackend` does (the
-dict-of-``Block`` :class:`~repro.em.backends.MappingBackend` by
-default, or the numpy-arena :class:`~repro.em.backends.ArenaBackend`).
-The disk keeps everything *accounting*: charged I/Os, generation tags,
-loans, and the allocation id space.
+The disk does not store blocks itself: a
+:class:`~repro.em.backends.StorageBackend` does (the dict-of-``Block``
+:class:`~repro.em.backends.MappingBackend` by default, or the numpy-arena
+:class:`~repro.em.backends.ArenaBackend`).  The disk keeps everything
+*accounting*: charged I/Os and the allocation id space.
 
-Two access disciplines coexist:
+One charged whole-block discipline: :meth:`read` and :meth:`load` hand
+back private copies and :meth:`write` / :meth:`store` commit a block the
+caller owns, so mutating memory-resident state never silently mutates
+the disk.  :meth:`load` is the read of a read-modify-write, which the
+:meth:`store` of the mutated copy completes; :meth:`read` with
+``copy=False`` returns the backend's handle for read-only probes.
 
-* the **copying** API (:meth:`read` / :meth:`write`) hands back and
-  stores deep copies, which keeps the model honest by construction:
-  mutating memory-resident state never silently mutates the disk;
-* the **copy-light** API (:meth:`load` / :meth:`stage` / :meth:`store`)
-  loans out a handle on the stored block so a read-merge-write cycle
-  moves each record once instead of three times.  Honesty is preserved
-  by *generation tagging*: every committed write bumps the block's
-  generation, a loan remembers the generation (and the freshness used
-  for allocation accounting) at loan time, and :meth:`store` falls back
-  to re-inspecting the stored block when the loan went stale.  Both
-  disciplines charge the :class:`IOStats` identically — the parity
-  suite in ``tests/test_batch_parity.py`` pins this down.
+Every charged method charges through two per-block hooks:
+:meth:`_charge_read` (one read; ``install=False`` for a read that must
+leave no cache frame) and :meth:`_forget` (write-invalidate before a
+block is written or freed; a no-op here).
+:class:`~repro.em.cache.CachedDisk` overrides these two, the bulk
+charges below and the memoised :meth:`probe_record`, and no other
+charged method.
 
 A third tier, the **uncharged record-level API**
 (:meth:`records_arr`, :meth:`keys_in`, :meth:`remove_uncharged`,
@@ -47,7 +46,7 @@ package alone.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -67,8 +66,8 @@ class Disk:
     every charged method talks straight to the backend), a
     :class:`~repro.em.cache.BufferPool` on the
     :class:`~repro.em.cache.CachedDisk` subclass, which overrides the
-    charged methods.  Code above the disk calls those methods and never
-    branches on the axis.
+    charging hooks.  Code above the disk calls the charged methods and
+    never branches on the axis.
 
     Parameters
     ----------
@@ -77,7 +76,7 @@ class Disk:
     stats:
         Shared I/O counters; a fresh one is created when omitted.
     record_words:
-        Default words-per-record for blocks allocated by this disk.
+        Words per record of every block on this disk.
     backend:
         The block store: a :class:`StorageBackend` instance, a registry
         name (``"mapping"`` / ``"arena"``), or ``None`` for the default
@@ -115,10 +114,6 @@ class Disk:
             backend = make_backend(backend, block_size_words, record_words)
         self.backend = backend
         self._next_id = first_id
-        #: Generation counter per block id, bumped on every committed write.
-        self._gen: dict[int, int] = {}
-        #: Outstanding copy-light loans: id -> (generation, fresh, handle).
-        self._loans: dict[int, tuple[int, bool, Block]] = {}
 
     def describe(self) -> dict:
         """Telemetry descriptor of geometry + caching axis.
@@ -136,14 +131,14 @@ class Disk:
 
     # -- allocation ---------------------------------------------------------
 
-    def allocate(self, *, record_words: int | None = None) -> int:
+    def allocate(self) -> int:
         """Reserve a fresh block id (no I/O is charged until first write)."""
         bid = self._next_id
         self._next_id += 1
-        self.backend.create(bid, record_words=record_words)
+        self.backend.create(bid)
         return bid
 
-    def allocate_many(self, count: int, *, record_words: int | None = None) -> list[int]:
+    def allocate_many(self, count: int) -> list[int]:
         """Reserve ``count`` consecutive fresh block ids in one bulk step.
 
         Equivalent to ``count`` :meth:`allocate` calls but without the
@@ -155,128 +150,89 @@ class Disk:
         start = self._next_id
         self._next_id = start + count
         ids = list(range(start, start + count))
-        self.backend.create_many(ids, record_words=record_words)
+        self.backend.create_many(ids)
         return ids
 
     def free(self, block_id: int) -> None:
         """Release a block id; later access raises :class:`InvalidBlockError`."""
+        self._forget(block_id)
         try:
             self.backend.delete(block_id)
         except KeyError:
             raise InvalidBlockError(f"free of unknown block {block_id}") from None
-        self._gen.pop(block_id, None)
-        self._loans.pop(block_id, None)
 
-    # -- copying I/O --------------------------------------------------------
+    # -- charging hooks --------------------------------------------------------
+
+    def _charge_read(self, block_id: int, install: bool = True) -> None:
+        """Charge one read of ``block_id``.
+
+        ``install=False`` marks a read that leaves no cache frame behind
+        (a streaming read, or the read of a read-modify-write); it
+        matters to a cache only.
+        """
+        self.stats.record_read(block_id)
+
+    def _forget(self, block_id: int) -> None:
+        """Called before ``block_id`` is written or freed: a cache drops
+        its frame (write-invalidate).  A no-op uncached."""
+
+    # -- whole-block I/O -----------------------------------------------------
 
     def read(self, block_id: int, *, copy: bool = True) -> Block:
-        """Fetch a block into memory, charging one read I/O."""
+        """Fetch a block into memory, charging one read I/O.
+
+        Returns a private copy; ``copy=False`` returns the backend's
+        handle, read-only by convention.
+        """
         blk = self._fetch(block_id)
-        self.stats.record_read(block_id)
+        self._charge_read(block_id)
         return blk.copy() if copy else blk
 
-    def write(self, block_id: int, block: Block) -> None:
-        """Store a copy of ``block`` at ``block_id``, charging one write I/O.
+    def load(self, block_id: int) -> Block:
+        """The read of a read-modify-write: a private copy, charged as one
+        read that leaves no cache frame.
 
-        The very first write of a freshly allocated block is recorded as
-        an allocation (chargeable per policy).
+        Mutating the copy changes nothing until :meth:`store` commits
+        it; the store's write combines with this read under the
+        footnote-2 policy.
+        """
+        blk = self._fetch(block_id).copy()
+        self._charge_read(block_id, install=False)
+        self._forget(block_id)
+        return blk
+
+    def write(self, block_id: int, block: Block) -> None:
+        """Store a copy of ``block`` at ``block_id``, charging one write I/O."""
+        self.store(block_id, block.copy())
+
+    def store(self, block_id: int, block: Block) -> None:
+        """Commit ``block`` as the contents of ``block_id``, charging one
+        write I/O.
+
+        Ownership transfers without a copy: the caller must not mutate
+        ``block`` afterwards.  The very first write of a freshly
+        allocated block is recorded as an allocation (chargeable per
+        policy).
         """
         fresh = self._is_fresh(block_id)
         if block.capacity_words != self.b:
             raise InvalidBlockError(
                 f"block capacity {block.capacity_words} != disk b {self.b}"
             )
-        self.backend.commit(block_id, block, copy=True)
-        self._gen[block_id] = self._gen.get(block_id, 0) + 1
-        self.stats.record_write(block_id, fresh=fresh)
-
-    # -- copy-light I/O -----------------------------------------------------
-
-    def load(self, block_id: int) -> Block:
-        """Charged read returning a loaned handle on the stored block.
-
-        The caller must either treat the block as read-only or commit
-        in-place mutations with :meth:`store`.  The loan records the
-        block's generation and allocation-freshness so a later
-        :meth:`store` charges exactly what a copying read/write round
-        trip would have.  (The mapping backend loans the live stored
-        object; the arena loans a materialised handle that ``store``
-        writes back.)
-        """
-        blk = self._fetch(block_id)
-        self._loans[block_id] = (
-            self._gen.get(block_id, 0),
-            blk.empty and not blk.header,
-            blk,
-        )
-        self.stats.record_read(block_id)
-        return blk
-
-    def stage(self, block_id: int) -> Block:
-        """Uncharged fetch of a loaned block handle for wholesale rewrite.
-
-        The write-only analogue of :meth:`load`: the caller overwrites
-        the returned block in place and commits with :meth:`store`,
-        charging a single write I/O.  Freshness is captured now, before
-        the mutation, matching what :meth:`write` would have inferred
-        from the pre-write contents.
-        """
-        blk = self._fetch(block_id)
-        self._loans[block_id] = (
-            self._gen.get(block_id, 0),
-            blk.empty and not blk.header,
-            blk,
-        )
-        return blk
-
-    def store(self, block_id: int, block: Block | None = None) -> None:
-        """Commit a copy-light write of ``block_id``, charging one write I/O.
-
-        With ``block=None`` the loaned handle from :meth:`load` /
-        :meth:`stage` (mutated in place) is committed.  Passing a
-        foreign ``block`` transfers ownership without copying — the
-        caller must not mutate it afterwards.  A stale loan (the block
-        was overwritten since loan time) falls back to inferring
-        freshness from the current stored contents, which is what
-        :meth:`write` would see, and commits nothing of the dead
-        handle.
-        """
-        if block_id not in self.backend:
-            raise InvalidBlockError(f"access to unknown block {block_id}")
-        gen = self._gen.get(block_id, 0)
-        loan = self._loans.pop(block_id, None)
-        live = loan is not None and loan[0] == gen
-        fresh = loan[1] if live else self._is_fresh(block_id)
-        if block is not None:
-            if block.capacity_words != self.b:
-                raise InvalidBlockError(
-                    f"block capacity {block.capacity_words} != disk b {self.b}"
-                )
-            self.backend.commit(block_id, block)
-        elif live:
-            self.backend.commit(block_id, loan[2])
-        self._gen[block_id] = gen + 1
+        self._forget(block_id)
+        self.backend.commit(block_id, block)
         self.stats.record_write(block_id, fresh=fresh)
 
     @contextlib.contextmanager
     def modify(self, block_id: int) -> Iterator[Block]:
         """Read-modify-write ``block_id`` (one I/O under the paper policy).
 
-        Copy-light: yields the loaned block handle and commits the
-        mutation on exit, charging read + write exactly as the copying
-        path would (the write combines under the footnote-2 policy).
-        If the body raises, the block is rolled back to its pre-entry
-        contents — an aborted modify must not silently mutate the disk.
+        :meth:`load` on entry, :meth:`store` of the yielded copy on exit.
+        If the body raises, nothing is stored and the read stays charged.
         """
         blk = self.load(block_id)
-        backup = blk.copy()
-        try:
-            yield blk
-        except BaseException:
-            self.backend.commit(block_id, backup)
-            self._loans.pop(block_id, None)
-            raise
-        self.store(block_id)
+        yield blk
+        self.store(block_id, blk)
 
     def peek(self, block_id: int, *, copy: bool = True) -> Block:
         """Inspect a block **without charging I/O** (instrumentation only).
@@ -288,9 +244,7 @@ class Disk:
         blk = self._fetch(block_id)
         return blk.copy() if copy else blk
 
-    def scan(
-        self, block_ids: list[int], visit: Callable[[int, Block], None] | None = None
-    ) -> list[Block]:
+    def scan(self, block_ids: list[int]) -> list[Block]:
         """Read a sequence of blocks, charging one I/O each.
 
         The ``n`` reads are charged in one bulk :meth:`IOStats.record_reads`
@@ -303,9 +257,6 @@ class Disk:
         except KeyError as exc:
             raise InvalidBlockError(f"access to unknown block {exc.args[0]}") from None
         self._charge_stream(block_ids)
-        if visit is not None:
-            for bid, blk in zip(block_ids, out):
-                visit(bid, blk)
         return out
 
     def probe_record(self, block_id: int, key: int) -> bool:
@@ -321,14 +272,14 @@ class Disk:
         backend = self.backend
         if block_id not in backend:
             raise InvalidBlockError(f"access to unknown block {block_id}")
-        self.stats.record_read(block_id)
+        self._charge_read(block_id)
         return backend.contains_key(block_id, key)
 
     def remove_record(self, block_id: int, key: int) -> bool:
         """Charged single-block delete probe: read + RMW write on a hit.
 
-        Equivalent, counter for counter, to the copy-light cycle
-        ``blk = load(bid); hit = blk.remove(key); store(bid) if hit``
+        Equivalent, counter for counter, to the cycle
+        ``blk = load(bid); hit = blk.remove(key); store(bid, blk) if hit``
         — one charged read, then (only on a hit) one charged write that
         combines under the footnote-2 policy — but executed through the
         backend's record-level :meth:`~StorageBackend.remove_key`, so
@@ -339,11 +290,10 @@ class Disk:
         backend = self.backend
         if block_id not in backend:
             raise InvalidBlockError(f"access to unknown block {block_id}")
-        self.stats.record_read(block_id)
+        self._charge_read(block_id, install=False)
         if not backend.remove_key(block_id, key):
             return False
-        self._gen[block_id] = self._gen.get(block_id, 0) + 1
-        self._loans.pop(block_id, None)
+        self._forget(block_id)
         self.stats.record_write(block_id)
         return True
 
@@ -364,12 +314,13 @@ class Disk:
         self._charge_stream(block_ids)
         return out
 
+    # -- bulk charging (batch-engine internals) -------------------------------
+
     def _charge_stream(self, block_ids: list[int]) -> None:
         """Charge the reads of a streaming bulk read (:meth:`scan`,
-        :meth:`read_records`): one per block, in one bulk call."""
+        :meth:`read_records`): one per block, in one bulk call, installing
+        no cache frame."""
         self.stats.record_reads(block_ids)
-
-    # -- bulk charging (batch-engine internals) -------------------------------
 
     def charge_walk(self, n: int, rounds: Rounds) -> np.ndarray:
         """Charge a batch lookup's probe walk; return each key's charged reads.
@@ -428,9 +379,9 @@ class Disk:
 
     # -- uncharged record-level API (batch-engine internals) -----------------
     #
-    # These mutators bump the generation tag (they are committed writes
-    # as far as loan staleness is concerned) but charge nothing: callers
-    # charge through :meth:`charge_walk` / :meth:`charge_sweep`.
+    # Callers charge what these do through :meth:`charge_walk` /
+    # :meth:`charge_sweep`; the mutators still drop a cache's frame
+    # (:meth:`_forget`), since they write the block.
 
     def records_arr(self, block_id: int) -> np.ndarray:
         """The records of ``block_id`` as a uint64 array (uncharged, read-only)."""
@@ -445,39 +396,31 @@ class Disk:
         """Pairwise record removal, ``keys[i]`` from ``block_ids[i]`` in
         order (uncharged; the batch deletes' address-then-remove probe).
 
-        Returns the hit mask; each hit is a committed write of its block.
-        Unlike the other mutators it leaves a cache's frames alone: the
-        walk then charges through :meth:`charge_sweep`, which must see
-        each block's residency as the per-key loop would and drops the
-        frames of the blocks written.
+        Returns the hit mask.  Unlike the other mutators it leaves a
+        cache's frames alone: the walk then charges through
+        :meth:`charge_sweep`, which must see each block's residency as
+        the per-key loop would and drops the frames of the blocks written.
         """
-        hit = self.backend.remove_keys(block_ids, keys)
-        gen, loans = self._gen, self._loans
-        for bid in block_ids[hit].tolist():
-            gen[bid] = gen.get(bid, 0) + 1
-            loans.pop(bid, None)
-        return hit
+        return self.backend.remove_keys(block_ids, keys)
 
     def append_uncharged(self, block_id: int, items: list[int]) -> None:
         """Append ``items`` to ``block_id`` without charging (bulk engine)."""
+        self._forget(block_id)
         self.backend.append(block_id, items)
-        self._gen[block_id] = self._gen.get(block_id, 0) + 1
 
     def replace_uncharged(self, block_id: int, items: list[int]) -> None:
         """Overwrite ``block_id``'s records without charging (bulk engine)."""
+        self._forget(block_id)
         self.backend.replace(block_id, items)
-        self._gen[block_id] = self._gen.get(block_id, 0) + 1
 
     def drain_uncharged(self, block_id: int) -> list[int]:
         """Empty ``block_id`` and return its records without charging.
 
-        The generation is bumped only when something was drained — an
-        empty block was not written, so outstanding loans stay valid,
-        matching the scalar read-then-skip behaviour.
+        Draining an empty block writes nothing, so its cache frame stays.
         """
         out = self.backend.drain(block_id)
         if out:
-            self._gen[block_id] = self._gen.get(block_id, 0) + 1
+            self._forget(block_id)
         return out
 
     # -- introspection -------------------------------------------------------

@@ -186,10 +186,8 @@ class BackendDecorator(StorageBackend):
             "read", block_id, lambda: self.inner.contains_key(block_id, key)
         )
 
-    def commit(self, block_id: int, block: Block, *, copy: bool = False) -> None:
-        self._guard(
-            "write", block_id, lambda: self.inner.commit(block_id, block, copy=copy)
-        )
+    def commit(self, block_id: int, block: Block) -> None:
+        self._guard("write", block_id, lambda: self.inner.commit(block_id, block))
 
     def append(self, block_id: int, items: list[int]) -> None:
         self._write_records(self.inner.append, block_id, items)
@@ -214,11 +212,11 @@ class BackendDecorator(StorageBackend):
 
     # -- untouched pass-through ----------------------------------------------
 
-    def create(self, block_id: int, *, record_words: int | None = None) -> None:
-        self.inner.create(block_id, record_words=record_words)
+    def create(self, block_id: int) -> None:
+        self.inner.create(block_id)
 
-    def create_many(self, block_ids, *, record_words: int | None = None) -> None:
-        self.inner.create_many(block_ids, record_words=record_words)
+    def create_many(self, block_ids) -> None:
+        self.inner.create_many(block_ids)
 
     def delete(self, block_id: int) -> None:
         self.inner.delete(block_id)

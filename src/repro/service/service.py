@@ -761,7 +761,7 @@ class DictionaryService:
         if cache.accesses or cache.negative_hits or cache.evictions:
             span["cache"] = cache.as_dict()
         self.recorder.emit("epoch", **span)
-        if cache.evictions or cache.writebacks:
+        if cache.evictions:
             self.recorder.emit(
                 "cache_evict",
                 epoch=idx,

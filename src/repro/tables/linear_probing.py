@@ -79,7 +79,8 @@ class LinearProbingHashTable(ExternalDictionary):
         self._insert_at(key, self.home_of(key))
 
     def _insert_at(self, key: int, home: int) -> None:
-        """Probe forward from ``home`` and place ``key`` (copy-light I/O)."""
+        """Probe forward from ``home`` and place ``key`` (read-modify-write
+        of each block it updates)."""
         disk = self.ctx.disk
         ids = self._block_ids
         d = len(ids)
@@ -90,7 +91,7 @@ class LinearProbingHashTable(ExternalDictionary):
                 return
             if not blk.full:
                 blk.append(key)
-                disk.store(bid)
+                disk.store(bid, blk)
                 self._size += 1
                 self.stats.inserts += 1
                 return
@@ -98,7 +99,7 @@ class LinearProbingHashTable(ExternalDictionary):
             # know to keep probing past it.
             if not blk.header.get("overflowed"):
                 blk.header["overflowed"] = True
-                disk.store(bid)
+                disk.store(bid, blk)
         raise RuntimeError("linear probing table full despite max_fill guard")
 
     def lookup(self, key: int) -> bool:
@@ -114,7 +115,7 @@ class LinearProbingHashTable(ExternalDictionary):
         ids = self._block_ids
         d = len(ids)
         for step in range(d):
-            blk = disk.load(ids[(home + step) % d])
+            blk = disk.read(ids[(home + step) % d], copy=False)
             if key in blk:
                 return True, step + 1
             if not blk.header.get("overflowed"):

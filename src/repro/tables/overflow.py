@@ -15,16 +15,16 @@ un-charged in EM analyses).
   under the footnote-2 policy), allocating a new tail block when all are
   full.
 
-All charged accesses ride the disk's copy-light loan API
-(:meth:`~repro.em.disk.Disk.load` / :meth:`~repro.em.disk.Disk.store`),
-so a read-merge-write cycle moves each record once; the I/O counters are
-identical to the copying path by the disk's contract.
+An insert updates a private copy from :meth:`~repro.em.disk.Disk.load`
+and commits it with :meth:`~repro.em.disk.Disk.store`; a rewrite stores
+freshly built blocks, and the chain-free probes run record-level.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from ..em.block import Block
 from ..em.disk import Disk
 
 
@@ -101,7 +101,7 @@ class ChainedBucket:
                 return False
             if not blk.full:
                 blk.append(key)
-                disk.store(bid)
+                disk.store(bid, blk)
                 return True
             prev_bid = bid
         # Every block full: allocate a tail and link it from the last block.
@@ -145,7 +145,8 @@ class ChainedBucket:
         allocating/freeing as needed.
         """
         disk = self.disk
-        b = disk.b // disk.record_words
+        rw = disk.record_words
+        b = disk.b // rw
         needed = max(1, -(-len(items) // b)) - 1  # overflow blocks needed
         while len(self._chain) < needed:
             self._chain.append(disk.allocate())
@@ -155,15 +156,13 @@ class ChainedBucket:
         ids = self.block_ids
         last = len(ids) - 1
         for i, bid in enumerate(ids):
-            blk = disk.stage(bid)
-            blk.replace_contents(items[i * b : (i + 1) * b])
-            blk.header.pop("next", None)
+            blk = Block(disk.b, record_words=rw, data=items[i * b : (i + 1) * b])
             if i < last:
                 blk.header["next"] = ids[i + 1]
             # No rmw invalidation: a rewrite immediately after reading
             # the same block (the read_all → replace_all merge pattern)
             # is footnote 2's one-I/O read-modify-write.
-            disk.store(bid)
+            disk.store(bid, blk)
 
     # -- uncharged introspection ---------------------------------------------------
 

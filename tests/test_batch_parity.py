@@ -666,7 +666,7 @@ def test_backend_bit_identity(name, policy_name):
 @pytest.mark.parametrize("name", ["buffered", "chained", "lsm"])
 def test_cramped_backend_parity(name, policy_name, backend):
     """Scalar-vs-batch parity on the arena backend too, in the cramped
-    shapes whose chains force the loan/absorb fallback paths."""
+    shapes whose chains force the load/store and absorb fallback paths."""
     factory, _, cramped = TABLES[name]
     keys, probe = _keys(seed=67, dupes=True)
     keys, probe = keys[:700], probe[:300]

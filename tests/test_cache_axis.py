@@ -50,6 +50,7 @@ from repro.tables import (
     ChainedHashTable,
     ExtendibleHashTable,
     LinearHashingTable,
+    LinearProbingHashTable,
     ShardedDictionary,
     make_sharded,
 )
@@ -97,6 +98,10 @@ def _linear_hashing(ctx):
     return LinearHashingTable(ctx, MULTIPLY_SHIFT.sample(ctx.u, seed=7))
 
 
+def _linear_probing(ctx):
+    return LinearProbingHashTable(ctx, MULTIPLY_SHIFT.sample(ctx.u, seed=7))
+
+
 TABLES = {
     "buffered": _buffered,
     "logmethod": _logmethod,
@@ -107,6 +112,7 @@ TABLES = {
     "btree": _btree,
     "extendible": _extendible,
     "linear_hashing": _linear_hashing,
+    "linear_probing": _linear_probing,
     "sharded_buffered": make_sharded(_buffered, 2),
 }
 
@@ -284,7 +290,7 @@ def _pend(ctx, bkt):
     """Leave ``bkt``'s blocks resident and its primary the pending read."""
     for bid in reversed(bkt.block_ids):
         if ctx.disk.cache is not None:
-            ctx.disk.cache.invalidate(bid, discard=True)
+            ctx.disk.cache.invalidate(bid)
         ctx.disk.probe_record(bid, 0)
 
 
@@ -411,17 +417,43 @@ def test_walk_charge_follows_the_scalar_key_order(cache_blocks):
         assert bulk.cache.resident() == loop.cache.resident()
 
 
+def test_linear_probing_lookups_hit_the_pool():
+    """Linear-probing lookups read their probe blocks through the pool, so
+    a repeated lookup is a hit, scalar or batch, and hits + misses still
+    equal the uncached twin's reads."""
+    keys, _ = _keys(seed=5)
+    runs = []
+    for cache_blocks in (0, 8):
+        ctx = make_context(b=32, m=512, cache_blocks=cache_blocks)
+        table = _linear_probing(ctx)
+        table.insert_batch(keys)
+        phases = []
+        for lookup in (lambda: [table.lookup(keys[0]) for _ in range(5)],
+                       lambda: table.lookup_batch([keys[0]] * 5).tolist()):
+            io, pool = ctx.stats.snapshot(), ctx.cache_stats()
+            pool = pool and pool.snapshot()
+            assert lookup() == [True] * 5
+            after = ctx.cache_stats()
+            phases.append((
+                ctx.stats.delta_since(io).reads,
+                after and (after.hits - pool.hits, after.misses - pool.misses),
+            ))
+        runs.append(phases)
+    (scalar, _), (batch, _) = runs[0]
+    probes = scalar // 5
+    assert probes >= 1 and batch == scalar
+    # The first scalar lookup misses and installs its probe blocks; every
+    # later probe hits, the batch's included.
+    assert runs[1] == [(probes, (4 * probes, probes)), (0, (5 * probes, 0))]
+
+
 # -- CachedDisk unit behaviour ------------------------------------------------
 
 
 def _store_after_load(disk, bid):
-    disk.load(bid).append(99)
-    disk.store(bid)
-
-
-def _store_after_stage(disk, bid):
-    disk.stage(bid).replace_contents([99])
-    disk.store(bid)
+    blk = disk.load(bid)
+    blk.append(99)
+    disk.store(bid, blk)
 
 
 def _bulk_merge(disk, bid):
@@ -433,7 +465,6 @@ def _bulk_merge(disk, bid):
 MUTATIONS = {
     "write": (lambda disk, bid: disk.write(bid, Block(4, data=[99])), [99]),
     "load-store": (_store_after_load, [7, 99]),
-    "stage-store": (_store_after_stage, [99]),
     "remove_record": (lambda disk, bid: disk.remove_record(bid, 7), []),
     "append_uncharged": (lambda disk, bid: disk.append_uncharged(bid, [99]), [7, 99]),
     "replace_uncharged": (lambda disk, bid: disk.replace_uncharged(bid, [99]), [99]),
@@ -499,7 +530,7 @@ class TestCachedDisk:
             disk.read(other)  # clears the pending RMW block for `bid`
             blk = disk.load(bid)
             blk.append(7)
-            disk.store(bid)
+            disk.store(bid, blk)
         assert plain.stats.reads == 3 and plain.stats.combined == 1
         assert plain.stats.writes == 0
         # Cached: 2 miss reads, then a hit-load (uncharged) whose store

@@ -82,16 +82,6 @@ class TestPickling:
         clone.append(3, [999])
         assert be.records(3) != clone.records(3)
 
-    def test_pickle_preserves_odd_blocks(self, tmp_path):
-        be = DurableArenaBackend(8, record_words=2, path=tmp_path / "store")
-        be.create(0)
-        be.append(0, [1, 2, 3, 4])
-        be.create(1, record_words=1)  # off-width: the _odd fallback path
-        be.append(1, [7])
-        clone = pickle.loads(pickle.dumps(be))
-        assert clone.records(0) == [1, 2, 3, 4]
-        assert clone.records(1) == [7]
-
 
 class TestUnderDisk:
     def test_disk_modify_cycle(self):

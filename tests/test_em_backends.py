@@ -3,7 +3,8 @@
 The cross-structure bit-identity guarantees live in
 ``tests/test_batch_parity.py``; these exercise the backend protocol
 directly: lifecycle, slot recycling, arena growth, header persistence,
-odd record widths, and the record-level primitives both backends share.
+the record-level primitives both backends share, and the disk's
+copying whole-block discipline over each of them, cached or not.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from repro.em import (
     ArenaBackend,
     BACKENDS,
     Block,
+    CachedDisk,
     Disk,
     InvalidBlockError,
     MappingBackend,
@@ -186,28 +188,6 @@ class TestArena:
                                                                True, True]
         assert (arena.records(0), arena.records(1)) == ([1], [])
 
-    def test_odd_record_widths_fall_back(self):
-        arena = ArenaBackend(8, record_words=1)
-        arena.create(0, record_words=2)
-        blk = arena.fetch(0)
-        assert blk.capacity_records == 4
-        blk.extend([1, 2, 3, 4])
-        arena.commit(0, blk)
-        assert arena.records(0) == [1, 2, 3, 4]
-        arena.create(1)
-        arena.append(1, [5])
-        ids = np.array([0, 1, 0], dtype=np.int64)
-        keys = np.array([3, 5, 5], dtype=np.uint64)
-        assert arena.contains_keys(ids, keys).tolist() == [True, True, False]
-        assert arena.remove_keys(ids, keys).tolist() == [True, True, False]
-        assert (arena.records(0), arena.records(1)) == ([1, 2, 4], [])
-        arena.append(0, [3])
-        arena.delete(1)
-        assert arena.words_stored() == 8
-        assert arena.nonempty() == 1
-        arena.delete(0)
-        assert arena.count() == 0
-
 
 class TestDiskOverBackends:
     @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -216,7 +196,7 @@ class TestDiskOverBackends:
         bid = disk.allocate()
         blk = disk.load(bid)
         blk.extend([4, 5])
-        disk.store(bid)
+        disk.store(bid, blk)
         assert disk.peek(bid).records() == [4, 5]
         with disk.modify(bid) as b:
             b.append(6)
@@ -233,15 +213,51 @@ class TestDiskOverBackends:
                 raise RuntimeError("abort")
         assert disk.peek(bid).records() == [1]
 
+    @staticmethod
+    def _state(disk, bid):
+        """What a load must not leave behind: contents, ledger, residency."""
+        pool = disk.cache
+        return (
+            disk.peek(bid),
+            disk.stats.snapshot(),
+            disk.stats._last_read_block,
+            None if pool is None else (pool.resident(), pool.stats.snapshot()),
+        )
+
+    @pytest.mark.parametrize("cache_blocks", [0, 2])
     @pytest.mark.parametrize("name", sorted(BACKENDS))
-    def test_stale_loan_keeps_stored_contents(self, name):
-        disk = Disk(8, backend=name)
-        bid = disk.allocate()
+    def test_unstored_load_changes_nothing(self, name, cache_blocks):
+        """``load`` hands out a private copy: mutating it without ``store``
+        reaches neither the stored block nor the ledger nor the pool."""
+        disk = (CachedDisk(8, cache_blocks=cache_blocks, backend=name)
+                if cache_blocks else Disk(8, backend=name))
+        bid, other = disk.allocate_many(2)
+        disk.write(bid, Block(8, data=[1]))
+        disk.read(other)
+        disk.read(bid)  # resident when cached: the load below is a hit
         blk = disk.load(bid)
-        blk.append(1)
-        disk.write(bid, Block(8, data=[7, 8]))  # loan goes stale
-        disk.store(bid)  # must not resurrect the dead handle
-        assert disk.peek(bid).records() == [7, 8]
+        after_load = self._state(disk, bid)
+        blk.append(2)
+        blk.header["next"] = other
+        assert self._state(disk, bid) == after_load
+        assert disk.peek(bid) == Block(8, data=[1])
+
+    @pytest.mark.parametrize("cache_blocks", [0, 2])
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_raising_modify_stores_nothing(self, name, cache_blocks):
+        disk = (CachedDisk(8, cache_blocks=cache_blocks, backend=name)
+                if cache_blocks else Disk(8, backend=name))
+        bid = disk.allocate()
+        disk.write(bid, Block(8, data=[1]))
+        before = disk.stats.snapshot()
+        with pytest.raises(RuntimeError):
+            with disk.modify(bid) as blk:
+                blk.append(2)
+                raise RuntimeError("abort")
+        assert disk.peek(bid) == Block(8, data=[1])
+        delta = disk.stats.delta_since(before)
+        assert (delta.reads, delta.writes, delta.combined) == (1, 0, 0)
+        assert disk.stats._last_read_block == bid
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_first_id_strides_namespace(self, name):

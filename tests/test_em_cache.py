@@ -27,12 +27,18 @@ def fill(disk, n):
     return ids
 
 
+def read_through(pool, bid):
+    """One read through the pool that charges the disk on a miss."""
+    if not pool.access(bid):
+        pool.disk.stats.record_read(bid)
+
+
 class TestHitsAndMisses:
     def test_first_get_misses_then_hits(self, disk):
         ids = fill(disk, 1)
         pool = BufferPool(disk, 2)
-        pool.get(ids[0])
-        pool.get(ids[0])
+        read_through(pool, ids[0])
+        read_through(pool, ids[0])
         assert pool.stats.misses == 1
         assert pool.stats.hits == 1
         assert disk.stats.reads == 1  # only the miss touched disk
@@ -40,17 +46,17 @@ class TestHitsAndMisses:
     def test_hit_charges_no_io(self, disk):
         ids = fill(disk, 1)
         pool = BufferPool(disk, 2)
-        pool.get(ids[0])
+        read_through(pool, ids[0])
         before = disk.stats.total
-        pool.get(ids[0])
+        read_through(pool, ids[0])
         assert disk.stats.total == before
 
     def test_hit_rate(self, disk):
         ids = fill(disk, 1)
         pool = BufferPool(disk, 2)
-        pool.get(ids[0])
-        pool.get(ids[0])
-        pool.get(ids[0])
+        read_through(pool, ids[0])
+        read_through(pool, ids[0])
+        read_through(pool, ids[0])
         assert pool.stats.hit_rate == pytest.approx(2 / 3)
 
 
@@ -58,9 +64,9 @@ class TestEvictionAndWriteback:
     def test_lru_eviction_order(self, disk):
         ids = fill(disk, 3)
         pool = BufferPool(disk, 2)
-        pool.get(ids[0])
-        pool.get(ids[1])
-        pool.get(ids[2])  # evicts ids[0]
+        pool.access(ids[0])
+        pool.access(ids[1])
+        pool.access(ids[2])  # evicts ids[0]
         assert not pool.is_resident(ids[0])
         assert pool.is_resident(ids[1])
         assert pool.is_resident(ids[2])
@@ -68,10 +74,10 @@ class TestEvictionAndWriteback:
     def test_get_refreshes_lru_position(self, disk):
         ids = fill(disk, 3)
         pool = BufferPool(disk, 2)
-        pool.get(ids[0])
-        pool.get(ids[1])
-        pool.get(ids[0])  # refresh 0; 1 is now LRU
-        pool.get(ids[2])
+        pool.access(ids[0])
+        pool.access(ids[1])
+        pool.access(ids[0])  # refresh 0; 1 is now LRU
+        pool.access(ids[2])
         assert pool.is_resident(ids[0])
         assert not pool.is_resident(ids[1])
 
@@ -79,52 +85,9 @@ class TestEvictionAndWriteback:
         ids = fill(disk, 3)
         pool = BufferPool(disk, 2)
         for bid in ids:
-            pool.get(bid)
+            pool.access(bid)
         assert pool.stats.writebacks == 0
         assert disk.stats.writes == 0
-
-    def test_dirty_eviction_writes_back(self, disk):
-        ids = fill(disk, 3)
-        pool = BufferPool(disk, 2)
-        pool.put(ids[0], Block(4, data=[99]))
-        pool.get(ids[1])
-        pool.get(ids[2])  # evicts dirty ids[0]
-        assert pool.stats.writebacks == 1
-        assert disk.peek(ids[0]).records() == [99]
-
-    def test_flush_writes_all_dirty(self, disk):
-        ids = fill(disk, 2)
-        pool = BufferPool(disk, 4)
-        pool.put(ids[0], Block(4, data=[10]))
-        pool.put(ids[1], Block(4, data=[20]))
-        written = pool.flush()
-        assert written == 2
-        assert disk.peek(ids[0]).records() == [10]
-        assert disk.peek(ids[1]).records() == [20]
-        assert pool.flush() == 0  # idempotent
-
-    def test_mark_dirty_requires_residency(self, disk):
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        with pytest.raises(KeyError):
-            pool.mark_dirty(ids[0])
-        pool.get(ids[0])
-        pool.mark_dirty(ids[0])
-        assert pool.flush() == 1
-
-    def test_invalidate_discard_drops_changes(self, disk):
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.put(ids[0], Block(4, data=[77]))
-        pool.invalidate(ids[0], discard=True)
-        assert disk.peek(ids[0]).records() == [ids[0]]
-
-    def test_invalidate_default_writes_back(self, disk):
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.put(ids[0], Block(4, data=[77]))
-        pool.invalidate(ids[0])
-        assert disk.peek(ids[0]).records() == [77]
 
 
 class TestBudgetIntegration:
@@ -148,40 +111,10 @@ def test_resident_order_is_lru_first(disk):
     ids = fill(disk, 3)
     pool = BufferPool(disk, 3)
     for bid in ids:
-        pool.get(bid)
-    pool.get(ids[0])
+        pool.access(bid)
+    pool.access(ids[0])
     assert pool.resident() == [ids[1], ids[2], ids[0]]
     assert len(pool) == 3
-
-
-class TestCopySemantics:
-    def test_get_returns_private_copy(self, disk):
-        """Mutating a ``get()`` result must never reach the frame: the
-        frame would silently diverge from its dirty tracking."""
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        blk = pool.get(ids[0])
-        blk.append(424242)
-        again = pool.get(ids[0])
-        assert again.records() == [ids[0]]  # aliasing regression
-        pool.invalidate(ids[0])  # clean frame: nothing written back
-        assert disk.peek(ids[0]).records() == [ids[0]]
-
-    def test_get_copy_false_loans_live_frame(self, disk):
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.get(ids[0])
-        loan = pool.get(ids[0], copy=False)
-        assert loan is pool.get(ids[0], copy=False)
-
-    def test_put_then_get_does_not_alias_the_frame(self, disk):
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.put(ids[0], Block(4, data=[7]))
-        got = pool.get(ids[0])
-        got.append(8)
-        pool.invalidate(ids[0])  # writes back the dirty frame
-        assert disk.peek(ids[0]).records() == [7]
 
 
 class TestStatsLifecycle:
@@ -212,9 +145,9 @@ class TestStatsLifecycle:
     def test_clear_preserves_stats(self, disk):
         ids = fill(disk, 2)
         pool = BufferPool(disk, 4)
-        pool.get(ids[0])
-        pool.get(ids[0])
-        pool.get(ids[1])
+        pool.access(ids[0])
+        pool.access(ids[0])
+        pool.access(ids[1])
         pool.clear()
         assert len(pool) == 0
         assert pool.stats.hits == 1 and pool.stats.misses == 2
@@ -223,8 +156,8 @@ class TestStatsLifecycle:
         ids = fill(disk, 1)
         budget = MemoryBudget(100)
         pool = BufferPool(disk, 2, budget=budget, owner="pool")
-        pool.get(ids[0])
-        pool.get(ids[0])
+        pool.access(ids[0])
+        pool.access(ids[0])
         pool.close()
         assert budget.charge_of("pool") == 0
         assert pool.stats.hits == 1 and pool.stats.misses == 1
@@ -241,24 +174,24 @@ class TestOnEvictHook:
         ids = fill(disk, 3)
         pool, dropped = self._hooked(disk, 2)
         for bid in ids:
-            pool.get(bid)
+            pool.access(bid)
         assert dropped == [ids[0]]
         assert pool.stats.evictions == 1
 
     def test_fires_on_invalidate(self, disk):
         ids = fill(disk, 1)
         pool, dropped = self._hooked(disk, 2)
-        pool.get(ids[0])
-        pool.invalidate(ids[0], discard=True)
+        pool.access(ids[0])
+        pool.invalidate(ids[0])
         assert dropped == [ids[0]]
-        pool.invalidate(ids[0], discard=True)  # absent: no callback
+        pool.invalidate(ids[0])  # absent: no callback
         assert dropped == [ids[0]]
 
     def test_fires_on_clear_for_every_frame(self, disk):
         ids = fill(disk, 3)
         pool, dropped = self._hooked(disk, 4)
         for bid in ids:
-            pool.get(bid)
+            pool.access(bid)
         pool.clear()
         assert sorted(dropped) == sorted(ids)
 
@@ -285,7 +218,7 @@ class TestAccessSequence:
         expected = []
         for bid in seq:
             hits = loop.stats.hits
-            loop.get(bid)
+            read_through(loop, bid)
             expected.append(loop.stats.hits > hits)
         mask = replay.access_sequence(seq)
         # The replay charges nothing; its caller charges the misses.
@@ -313,11 +246,3 @@ class TestAccessSequence:
         pool, _, dropped = self._pool()
         assert pool.access_sequence([]).tolist() == []
         assert pool.stats == pool.stats.__class__() and dropped == []
-
-    def test_residency_only_frame_serves_get(self):
-        """A replayed frame holds no block; ``get`` reads it uncharged."""
-        pool, ids, _ = self._pool()
-        pool.access_sequence([ids[0]])
-        assert pool.get(ids[0]).records() == [ids[0]]
-        assert pool.stats.hits == 1 and pool.disk.stats.reads == 0
-        assert pool.get(ids[0], copy=False) is pool.get(ids[0], copy=False)

@@ -117,14 +117,6 @@ class TestInstrumentation:
         assert disk.stats.total - before == 3
         assert [b.records() for b in blocks] == [[i] for i in ids]
 
-    def test_scan_visit_callback(self, disk):
-        ids = disk.allocate_many(2)
-        for bid in ids:
-            disk.write(bid, Block(8, data=[bid * 10]))
-        seen = []
-        disk.scan(ids, visit=lambda bid, blk: seen.append((bid, blk.records())))
-        assert seen == [(ids[0], [ids[0] * 10]), (ids[1], [ids[1] * 10])]
-
     def test_counters(self, disk):
         ids = disk.allocate_many(4)
         disk.write(ids[0], Block(8, data=[1, 2]))
