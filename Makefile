@@ -11,7 +11,8 @@ help:
 	@echo "  make test          tier-1 verification: PYTHONPATH=src python -m pytest tests/ -x -q"
 	@echo "                     (includes the crash-recovery chaos suite)"
 	@echo "  make test-fast     quick subset: tables + parity + EM layer (disk, backends,"
-	@echo "                     cache) + hashing + the pinned paper points"
+	@echo "                     cache) + hashing + the shard set's two owners (router,"
+	@echo "                     service) + the pinned paper points"
 	@echo "  make chaos-test    crash-point matrix only: journal/recovery/fault-injection"
 	@echo "  make overload-test open-loop traffic + admission/shedding/breaker invariants"
 	@echo "  make obs-test      observability: trace framing/determinism, metrics, relabelling"
@@ -35,6 +36,7 @@ test:
 ## the skew-routing contracts: slot directory, rebalancer policy,
 ## migration journal, generator determinism — and the observability
 ## contracts: trace framing/determinism, metrics folding, relabelling —
+## the shard set's two owners: the sharded router and the service —
 ## and the reproduced paper points pinned to their exact charged I/Os).
 test-fast:
 	$(PY) -m pytest tests/test_batch_parity.py tests/test_em_disk.py \
@@ -42,6 +44,7 @@ test-fast:
 	    tests/test_cache_axis.py tests/test_buffered.py \
 	    tests/test_logmethod.py tests/test_rebalance.py \
 	    tests/test_obs.py tests/test_hashing.py \
+	    tests/test_sharded.py tests/test_service.py \
 	    tests/test_paper_claims.py -q
 
 ## Crash-consistency only: the chaos matrix (crash at every epoch

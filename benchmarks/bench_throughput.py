@@ -14,7 +14,8 @@ PR:
   counter/layout identity at small scale).
 * ``--shards``: the sharded dictionary router — N independent
   ``BufferedHashTable`` shards (own disk namespace, own ``m``-word
-  memory, shared I/O ledger), the data-distributed scaling step.  A
+  memory, own I/O ledger, folded into the parent ledger after every
+  call), the data-distributed scaling step.  A
   shard of n/N keys runs fewer doubling rounds than one table of n
   keys, so the cluster moves each record fewer times — both wall-clock
   *and* cluster-wide I/O drop.

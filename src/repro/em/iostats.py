@@ -199,12 +199,12 @@ class IOStats:
     def absorb(self, delta: IOSnapshot) -> None:
         """Fold another ledger's counter delta into this one.
 
-        Used by the service layer to merge per-shard ledgers into a
-        cluster total at epoch close: pure counter addition, so the
-        merged result is independent of shard execution order.  The
-        pending read-modify-write block is deliberately untouched — RMW
-        combining is a per-disk (per-shard) affair and stays on the
-        shard's own ledger.
+        Used by the owners of shard machines to fold per-shard ledgers
+        into a cluster total (see :class:`~repro.tables.sharded.ShardSet`):
+        pure counter addition, so the merged result is independent of
+        shard execution order.  The pending read-modify-write block is
+        deliberately untouched — RMW combining is a per-disk (per-shard)
+        affair and stays on the shard's own ledger.
         """
         self.reads += delta.reads
         self.writes += delta.writes

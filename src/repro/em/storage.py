@@ -108,9 +108,9 @@ class EMContext:
     #: a strided ``first_id`` per shard so id namespaces stay disjoint.
     first_id: int = 0
     #: Stats, disk and memory are built from the parameters when left
-    #: ``None``; passing them in shares or replaces the machinery (the
-    #: sharded router injects a shared stats ledger and a per-shard
-    #: strided ``first_id``).
+    #: ``None``; passing them in shares or replaces the machinery.  A
+    #: shard machine (:func:`~repro.tables.sharded.shard_view`) builds
+    #: all three afresh, so each shard has a private ledger.
     stats: IOStats | None = None
     disk: Disk | None = None
     memory: MemoryBudget | None = None

@@ -73,7 +73,6 @@ from .service import (
     ServiceRun,
     ThreadExecutor,
     make_executor,
-    service_shard_view,
 )
 from .traffic import (
     ARRIVALS,
@@ -143,5 +142,4 @@ __all__ = [
     "ThreadExecutor",
     "EXECUTORS",
     "make_executor",
-    "service_shard_view",
 ]

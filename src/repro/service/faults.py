@@ -666,8 +666,8 @@ def run_crash_matrix(
     # the same decorator stack is in place while we count backend ops.
     golden_svc = make_service()
     clock = FaultClock()
-    for sub in golden_svc._contexts:
-        sub.disk.backend = FaultInjectingBackend(sub.disk.backend, clock=clock)
+    for disk in [table.ctx.disk for table in golden_svc.shard_tables()]:
+        disk.backend = FaultInjectingBackend(disk.backend, clock=clock)
     _drive(golden_svc, kinds, keys, window)
     backend_ops = clock.ops
     epochs = golden_svc.epochs_run
@@ -709,12 +709,12 @@ def run_crash_matrix(
             )
             leg_clock = FaultClock()
             retriers = []
-            for sub in svc._contexts:
+            for disk in [table.ctx.disk for table in svc.shard_tables()]:
                 faulty = FaultInjectingBackend(
-                    sub.disk.backend, clock=leg_clock, schedule=schedule
+                    disk.backend, clock=leg_clock, schedule=schedule
                 )
                 retrier = RetryingBackend(faulty, policy=policy, sleep=lambda s: None)
-                sub.disk.backend = retrier
+                disk.backend = retrier
                 retriers.append(retrier)
             if point.kind == "journal-append":
                 svc.journal = CrashingJournal(jpath, crash_append_at=point.index)
@@ -841,9 +841,9 @@ def run_overload_chaos(
     probe_svc = make_service()
     clock = FaultClock()
     op_log: list[str] = []
-    for sub in probe_svc._contexts:
-        sub.disk.backend = FaultInjectingBackend(
-            sub.disk.backend, clock=clock, trace=op_log
+    for disk in [table.ctx.disk for table in probe_svc.shard_tables()]:
+        disk.backend = FaultInjectingBackend(
+            disk.backend, clock=clock, trace=op_log
         )
     arrivals = PoissonArrivals(rate_factor * service_rate, seed=seed + 1)
     controller = AdmissionController(queue_depth=queue_depth, policy=policy)
@@ -876,12 +876,12 @@ def run_overload_chaos(
     svc = make_service()
     leg_clock = FaultClock()
     retriers, injectors = [], []
-    for sub in svc._contexts:
+    for disk in [table.ctx.disk for table in svc.shard_tables()]:
         faulty = FaultInjectingBackend(
-            sub.disk.backend, clock=leg_clock, schedule=schedule
+            disk.backend, clock=leg_clock, schedule=schedule
         )
         retrier = RetryingBackend(faulty, policy=policy_r, sleep=lambda s: None)
-        sub.disk.backend = retrier
+        disk.backend = retrier
         injectors.append(faulty)
         retriers.append(retrier)
     breaker = ShardBreakerBoard(

@@ -62,6 +62,7 @@ def snapshot_service(service: DictionaryService, path: str | Path) -> None:
     The executor and journal handles are deliberately excluded — they
     are reattached on restore.
     """
+    tables = service.shard_tables()
     state = {
         "version": _SNAPSHOT_VERSION,
         "name": service.name,
@@ -69,8 +70,8 @@ def snapshot_service(service: DictionaryService, path: str | Path) -> None:
         "shards": service.shards,
         "epoch_ops": service.epoch_ops,
         "router": service.router,
-        "contexts": service._contexts,
-        "tables": service._tables,
+        "contexts": [table.ctx for table in tables],
+        "tables": tables,
         "ledger": service.ledger,
         "cache": service.cache,
         "epochs_run": service.epochs_run,
@@ -117,20 +118,12 @@ def restore_service(
         )
     svc = DictionaryService.__new__(DictionaryService)
     svc.ctx = state["ctx"]
-    svc.shards = state["shards"]
     svc.epoch_ops = state["epoch_ops"]
     svc.name = state["name"]
-    svc.router = state["router"]
     svc.executor = make_executor(executor or state["executor"])
-    svc._contexts = state["contexts"]
-    svc._tables = state["tables"]
     svc.ledger = state["ledger"]
     # Older snapshots predate the cache ledger; restore them uncached.
     svc.cache = state.get("cache", CacheStats())
-    # Snapshots are taken at epoch boundaries, where the last merge left
-    # marks equal to the live per-shard counters — so fresh marks
-    # reproduce them exactly.
-    svc._marks = svc._ledger_marks()
     svc.epochs_run = state["epochs_run"]
     svc.journal = None
     svc.ops_committed = state["ops_committed"]
@@ -138,11 +131,9 @@ def restore_service(
     # routed statically, so a fresh static directory restores them
     # exactly.
     directory = state.get("directory")
-    svc.directory = (
-        directory
-        if directory is not None
-        else SlotDirectory(svc.router, svc.shards)
-    )
+    if directory is None:
+        directory = SlotDirectory(state["router"], state["shards"])
+    svc._adopt_shards(directory, state["tables"])
     svc.rebalancer = state.get("rebalancer")
     svc.migrated_slots = state.get("migrated_slots", 0)
     svc.keys_moved = state.get("keys_moved", 0)

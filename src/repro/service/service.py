@@ -11,18 +11,17 @@ per-shard work through a pluggable **executor**:
 * ``"serial"`` — shards run one after another, ascending shard order;
 * ``"threads"`` — shards run concurrently on a thread pool.
 
-Concurrency is safe *and deterministic* because the service gives every
-shard a fully private machine: its own strided-namespace
+Concurrency is safe *and deterministic* because the service is a
+:class:`~repro.tables.sharded.ShardSet`, as the sharded router is: every
+shard is a fully private machine with its own strided-namespace
 :class:`~repro.em.disk.Disk`, its own ``m``-word
-:class:`~repro.em.memory.MemoryBudget`, **and its own
-:class:`~repro.em.iostats.IOStats` ledger** (unlike the sharded router,
-whose shards share the parent ledger and would interleave
-nondeterministically under threads).  A shard's charges depend only on
-its own program-order request subsequence, so per-shard ledgers, disks,
-layouts and memory peaks are bit-identical whatever the executor.  At
-epoch close one loop walks the shards in ascending order and folds each
-shard's I/O and cache deltas since its last ``(IOSnapshot, CacheStats)``
-mark into the cluster :attr:`~DictionaryService.ledger` and
+:class:`~repro.em.memory.MemoryBudget` and its own
+:class:`~repro.em.iostats.IOStats` ledger.  A shard's charges depend
+only on its own program-order request subsequence, so per-shard ledgers,
+disks, layouts and memory peaks are bit-identical whatever the executor.
+At epoch close the shard set's fold walks the shards in ascending order
+and adds each shard's I/O and cache deltas since the last fold to the
+cluster :attr:`~DictionaryService.ledger` and
 :attr:`~DictionaryService.cache` — pure counter addition, so the merged
 totals are executor-invariant too; the cluster metric counters take the
 cluster ledgers' own before/after difference.  The determinism suite
@@ -40,6 +39,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -49,20 +49,10 @@ from ..em.cache import CacheStats
 from ..em.errors import ConfigurationError, StorageFault
 from ..em.iostats import IOSnapshot, IOStats
 from ..em.storage import EMContext
-from ..hashing.base import HashFunction
-from ..hashing.family import MULTIPLY_SHIFT
 from ..obs import MetricsRegistry, TraceRecorder
-from ..tables.base import ExternalDictionary, LayoutSnapshot, TableStats
 from ..tables.batching import partition_positions
-from ..tables.rebalance import Rebalancer, SlotMove, apply_moves
-from ..tables.sharded import (
-    _ROUTER_SEED,
-    ShardFactory,
-    SlotDirectory,
-    shard_view,
-    sum_table_stats,
-    union_layout,
-)
+from ..tables.rebalance import Rebalancer, SlotMove
+from ..tables.sharded import ShardFactory, ShardSet
 from ..workloads.trace import OP_DELETE, OP_INSERT, OP_LOOKUP, Op, encode_ops
 from .epochs import Epoch, build_epochs
 from .journal import EpochJournal
@@ -75,7 +65,6 @@ __all__ = [
     "ThreadExecutor",
     "EXECUTORS",
     "make_executor",
-    "service_shard_view",
 ]
 
 
@@ -158,23 +147,6 @@ def make_executor(kind: str, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Per-shard machines
-# ---------------------------------------------------------------------------
-
-
-def service_shard_view(parent: EMContext, index: int) -> EMContext:
-    """A fully private per-shard context: own disk, memory, *and* ledger.
-
-    :func:`repro.tables.sharded.shard_view` with a private
-    :class:`IOStats` swapped in — concurrent shards must never race on
-    a shared counter object, and the pending read-modify-write block
-    (which decides footnote-2 combining) is meaningful only against the
-    shard's own disk.  Ledgers merge at epoch close.
-    """
-    return shard_view(parent, index, stats=IOStats(policy=parent.policy))
-
-
-# ---------------------------------------------------------------------------
 # Run reports
 # ---------------------------------------------------------------------------
 
@@ -224,8 +196,12 @@ class ServiceRun:
 # ---------------------------------------------------------------------------
 
 
-class DictionaryService:
+class DictionaryService(ShardSet):
     """A dictionary served over N shard machines by a pluggable executor.
+
+    The shard machines, their directory and the aggregates over them
+    are the :class:`~repro.tables.sharded.ShardSet`'s; the service adds
+    epochs, routing, the executor, the journal, metrics and rebalancing.
 
     Parameters
     ----------
@@ -233,7 +209,7 @@ class DictionaryService:
         Template context: supplies the ``(b, m, u)`` geometry, I/O
         policy, record width and storage backend every shard machine is
         built with (its disk/stats/memory are *not* shared — each shard
-        gets a :func:`service_shard_view`).
+        gets a :func:`~repro.tables.sharded.shard_view`).
     shard_factory:
         Builds the inner table from a per-shard context (the drivers'
         ``TableFactory`` shape).
@@ -243,10 +219,6 @@ class DictionaryService:
         ``"serial"``, ``"threads"``, or an executor instance.
     epoch_ops:
         Maximum ops coalesced into one epoch (bounds staging memory).
-    router:
-        Shard-of-key hash; the fixed-seed multiply-shift default matches
-        the sharded router's, so a service over N shards stores keys
-        exactly where a :class:`ShardedDictionary` over N shards would.
     journal:
         Optional :class:`~repro.service.journal.EpochJournal`.  When
         set, every epoch's encoded ops are durably appended *before*
@@ -288,27 +260,16 @@ class DictionaryService:
         shards: int = 1,
         executor: str | SerialExecutor | ThreadExecutor = "serial",
         epoch_ops: int = 8192,
-        router: HashFunction | None = None,
-        name: str | None = None,
         journal: EpochJournal | None = None,
         slots: int | None = None,
         rebalance: Rebalancer | RebalanceConfig | bool | None = None,
         obs: ObsConfig | TraceRecorder | None = None,
     ) -> None:
-        if shards <= 0:
-            raise ConfigurationError(f"shard count must be positive, got {shards}")
         if epoch_ops <= 0:
             raise ConfigurationError(f"epoch_ops must be positive, got {epoch_ops}")
-        self.ctx = ctx
-        self.shards = shards
+        super().__init__(ctx, shard_factory, shards, slots=slots)
         self.epoch_ops = epoch_ops
-        self.name = name or f"DictionaryService[{shards}]"
-        self.router = (
-            router
-            if router is not None
-            else MULTIPLY_SHIFT.sample(ctx.u, seed=_ROUTER_SEED)
-        )
-        self.directory = SlotDirectory(self.router, shards, slots=slots)
+        self.name = f"DictionaryService[{shards}]"
         if rebalance is True:
             self.rebalancer: Rebalancer | None = Rebalancer()
         elif isinstance(rebalance, RebalanceConfig):
@@ -316,7 +277,6 @@ class DictionaryService:
         else:
             self.rebalancer = rebalance or None
         self.executor = make_executor(executor) if isinstance(executor, str) else executor
-        self._contexts = [service_shard_view(ctx, i) for i in range(shards)]
         #: Cluster I/O ledger: per-shard deltas folded in at epoch close,
         #: ascending shard order.
         self.ledger = IOStats(policy=ctx.policy)
@@ -324,7 +284,6 @@ class DictionaryService:
         #: per-shard buffer-pool deltas are folded in alongside the I/O
         #: ledger at epoch close.
         self.cache = CacheStats()
-        self._marks = self._ledger_marks()
         #: Always-on cluster metrics; fed the same ledger deltas the
         #: epoch-close merge folds, so it is executor-invariant and
         #: rides the snapshot/restore path.  See :meth:`metrics`.
@@ -349,9 +308,6 @@ class DictionaryService:
         self._run_seq = 0
         self._trace_base = 0
         self._journal_bytes_mark = 0
-        self._tables: list[ExternalDictionary] = [
-            shard_factory(sub) for sub in self._contexts
-        ]
         # Fold any I/O a factory charged at construction into the ledger
         # right away, so io_snapshot() always equals the sum of
         # shard_io_snapshots() (construction belongs to no epoch).
@@ -523,8 +479,8 @@ class DictionaryService:
         work = self._route(epoch)
         shard_order = sorted(work)
         thunks = [
-            self._shard_thunk(self._tables[shard], work[shard], shard)
-            for shard in shard_order
+            partial(self._apply, shard, ins, dels, looks)
+            for shard, (ins, dels, _, looks, _) in sorted(work.items())
         ]
         timings: list[float] | None = None
         if self.recorder is not None:
@@ -567,29 +523,6 @@ class DictionaryService:
             self._emit_epoch_span(report, idx, shard_order, timings)
         return report
 
-    @staticmethod
-    def _shard_thunk(
-        table: ExternalDictionary, slot: list, shard: int
-    ) -> Callable[[], tuple]:
-        ins, dels, _, looks, _ = slot
-
-        def thunk() -> tuple:
-            # Fixed kind order per shard: insert -> delete -> lookup.
-            # The epoch builder guarantees no key crosses kinds inside
-            # an epoch, so this order is observationally program order.
-            try:
-                if ins is not None and len(ins):
-                    table.insert_batch(ins)
-                del_res = table.delete_batch(dels) if dels is not None else None
-                look_res = table.lookup_batch(looks) if looks is not None else None
-            except StorageFault as exc:
-                wrapped = type(exc)(f"shard {shard}: {exc}")
-                wrapped.shard = shard
-                raise wrapped from exc
-            return del_res, look_res
-
-        return thunk
-
     def _route(self, epoch: Epoch) -> dict[int, list]:
         """Stable shard split of the epoch: ``{shard: [ins, dels, dpos,
         looks, lpos]}``, ``None`` where a shard has no op of a kind.
@@ -627,44 +560,22 @@ class DictionaryService:
             ]
         return work
 
-    def _ledger_marks(self) -> list[tuple[IOSnapshot, CacheStats | None]]:
-        """Every shard's ``(I/O, cache)`` counters now, shard order.
-
-        The cache mark is ``None`` for an uncached shard.
-        """
-        marks = []
-        for sub in self._contexts:
-            cache = sub.cache_stats()
-            marks.append(
-                (sub.stats.snapshot(), cache.snapshot() if cache is not None else None)
-            )
-        return marks
-
     def _merge_ledgers(self) -> int:
         """Fold per-shard ledger deltas into the cluster ledgers.
 
-        One loop in ascending shard order absorbs each shard's I/O and
-        cache delta since its last mark, so ``hits + misses`` stays
-        aligned with the reads the same epochs charged.  The cluster
-        metric counters take the cluster ledgers' own before/after
-        difference.  Returns the merged charged I/O total.
+        The shard set's fold adds each shard's I/O and cache delta since
+        the last fold, so ``hits + misses`` stays aligned with the reads
+        the same epochs charged.  The cluster metric counters take the
+        cluster ledgers' own before/after difference.  Returns the merged
+        charged I/O total.
         """
         io_before = self.ledger.snapshot()
         cache_before = self.cache.snapshot()
-        marks = self._ledger_marks()
-        deltas: list[IOSnapshot] = []
+        deltas = self._fold(self.ledger, self.cache)
         metrics = self._metrics
-        for i, ((io_mark, cache_mark), (io_now, cache_now)) in enumerate(
-            zip(self._marks, marks)
-        ):
-            delta = io_now - io_mark
-            self.ledger.absorb(delta)
-            deltas.append(delta)
+        for i, delta in enumerate(deltas):
             if delta.total:
                 metrics.inc("repro_shard_io_total", delta.total, shard=str(i))
-            if cache_mark is not None:
-                self.cache.absorb(cache_now.delta_since(cache_mark))
-        self._marks = marks
         io = self.ledger.delta_since(io_before)
         cache_delta = self.cache.delta_since(cache_before)
         for field, value in io.as_dict().items():
@@ -813,7 +724,7 @@ class DictionaryService:
 
     def _apply_moves(self, moves: Sequence[SlotMove]) -> None:
         """Drain + refill + repoint, charging the drains to the ledgers."""
-        report = apply_moves(self.directory, self._tables, moves)
+        report = self._migrate(moves)
         # Fold the migration's charges in immediately: the cluster
         # ledger sees every drain I/O (no free moves), the per-shard
         # marks advance past it, and migration_io keeps the separate
@@ -866,11 +777,6 @@ class DictionaryService:
 
     # -- aggregation / instrumentation --------------------------------------
 
-    @property
-    def stats(self) -> TableStats:
-        """Aggregated operation counters over all shard tables."""
-        return sum_table_stats(self._tables)
-
     def io_snapshot(self) -> IOSnapshot:
         """Cluster I/O counters (merged ledger) as of the last epoch close."""
         return self.ledger.snapshot()
@@ -882,31 +788,6 @@ class DictionaryService:
         stay schema-stable across the caching axis.
         """
         return self.cache.snapshot()
-
-    def shard_io_snapshots(self) -> list[IOSnapshot]:
-        """Per-shard ledger snapshots, shard order (determinism tests)."""
-        return [sub.stats.snapshot() for sub in self._contexts]
-
-    def shard_tables(self) -> list[ExternalDictionary]:
-        return list(self._tables)
-
-    def shard_sizes(self) -> list[int]:
-        return [len(table) for table in self._tables]
-
-    def memory_high_water(self) -> int:
-        """Sum of per-shard memory peaks (each machine peaks on its own)."""
-        return sum(sub.memory.high_water for sub in self._contexts)
-
-    def layout_snapshot(self) -> LayoutSnapshot:
-        """Union of the (disjoint) shard snapshots, routed by shard."""
-        return union_layout(self._tables, self.directory)
-
-    def __len__(self) -> int:
-        return sum(len(table) for table in self._tables)
-
-    def check_invariants(self) -> None:
-        for table in self._tables:
-            table.check_invariants()
 
     def close(self) -> None:
         """Release executor + trace-file resources (idempotent)."""

@@ -45,35 +45,26 @@ def normalize_keys(keys: Sequence[int] | np.ndarray) -> tuple[list[int], np.ndar
 
 
 def partition_by_bucket(
-    keys: Sequence[int] | np.ndarray,
-    bucket_idx: np.ndarray,
-    *,
-    stable: bool = False,
+    keys: Sequence[int] | np.ndarray, bucket_idx: np.ndarray
 ) -> list[tuple[int, list[int]]]:
     """Group ``keys`` by bucket index, ascending (deterministic but
     arbitrary order within each group — see the module docstring).
 
     Returns ``[(bucket, items), ...]`` for non-empty buckets only, the
     bucket visit order every merge/rebuild path (scalar and batch)
-    stages through.
-
-    ``stable=True`` preserves the arrival order within each group.  The
-    merge paths never need it (block-content order is not load-bearing),
-    but the sharded dictionary's router does: each shard must see its
-    keys as the exact subsequence the scalar per-key routing would feed
-    it, because *stream* order decides merge/flush boundaries.
+    stages through.  A caller that needs arrival order within each
+    group uses :func:`partition_positions`.
     """
     n = len(bucket_idx)
     if n == 0:
         return []
     arr = np.asarray(keys, dtype=np.uint64)
     idx = np.asarray(bucket_idx)
-    # Plain (unstable) argsort by default: within-bucket order is
-    # deterministic but arbitrary, which is fine — both the scalar and
-    # batch merge paths stage through this same partition, and
-    # block-content order is never load-bearing (lookups scan whole
-    # blocks).
-    order = np.argsort(idx, kind="stable") if stable else np.argsort(idx)
+    # Plain (unstable) argsort: within-bucket order is deterministic but
+    # arbitrary, which is fine — both the scalar and batch merge paths
+    # stage through this same partition, and block-content order is
+    # never load-bearing (lookups scan whole blocks).
+    order = np.argsort(idx)
     sorted_idx = idx[order]
     starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
     buckets = sorted_idx[starts].tolist()
@@ -89,12 +80,13 @@ def partition_by_bucket(
 def partition_positions(bucket_idx: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Stable positions-by-bucket grouping: ``[(bucket, positions), ...]``.
 
-    The lookup/delete-side counterpart of
-    :func:`partition_by_bucket(..., stable=True)`: ascending bucket
-    order, each ``positions`` array preserving arrival order, so
-    callers can slice their own key/result arrays per group and scatter
-    per-key outputs back to arrival order.  Used by the sharded router
-    and the service layer's per-epoch shard split.
+    Ascending bucket order, each ``positions`` array preserving arrival
+    order, so callers can slice their own key/result arrays per group
+    and scatter per-key outputs back to arrival order.  Used by the
+    sharded router and the service layer's per-epoch shard split, where
+    each shard must see its keys as the exact subsequence per-key
+    routing would feed it: *stream* order decides merge/flush
+    boundaries.
     """
     n = len(bucket_idx)
     if n == 0:

@@ -1,38 +1,35 @@
-"""A sharded dictionary router: one logical table over N independent shards.
+"""Shard machines: one logical dictionary over N independent shards.
 
 The data-distributed construction strategy (cf. Aghamolaei & Ghodsi in
-PAPERS.md) applied to the paper's dictionaries: a
-:class:`ShardedDictionary` wraps ``N`` inner
-:class:`~repro.tables.base.ExternalDictionary` instances and routes
-every operation by a dedicated router hash — one vectorised
-shard-of-key split per batch, staged through the same
-:func:`~repro.tables.batching.partition_by_bucket` machinery the tables
-use for bucket partitioning (with ``stable=True``, because *stream*
-order decides each shard's merge/flush boundaries).
+PAPERS.md) applied to the paper's dictionaries.  A :class:`ShardSet` is
+the cluster: a :class:`SlotDirectory` that routes every key by a
+dedicated router hash, and ``N`` machines, each a shard table built on a
+:func:`shard_view` of a template :class:`~repro.em.storage.EMContext` —
 
-The distributed model: ``N`` machines, each with its own ``m``-word
-memory and its own disk, sharing one cluster-wide I/O ledger.
-Concretely each shard gets a :func:`shard_view` of the parent
-:class:`~repro.em.storage.EMContext` —
-
-* the parent's :class:`~repro.em.iostats.IOStats` (cluster I/O total,
-  so the drivers' ``t_u``/``t_q`` measurements work unchanged),
-* its **own** :class:`~repro.em.disk.Disk` with a strided
-  ``first_id`` (shard ``i`` allocates ids from ``i · 2^48``), giving
-  every shard a disjoint block-id namespace,
+* its **own** :class:`~repro.em.iostats.IOStats` ledger, so the
+  footnote-2 pending read-modify-write block belongs to the shard's own
+  disk, as the paper charges it,
+* its **own** :class:`~repro.em.disk.Disk` with a strided ``first_id``
+  (shard ``i`` allocates ids from ``i · 2^48``), giving every shard a
+  disjoint block-id namespace,
 * its **own** :class:`~repro.em.memory.MemoryBudget` of ``m`` words,
-* its own storage backend instance of the parent's kind.
+* its own storage backend instance of the template's kind.
 
-The strided namespaces are what make the batch router honest: a shard's
-state depends only on its *own* key subsequence, never on how the
-cluster interleaved, so ``insert_batch`` (which feeds each shard its
-stable-partitioned group in one call) is bit-identical — I/O counters,
-layouts, block ids, memory peaks — to the scalar per-key routing loop.
+A shard's state, ledger included, depends only on its *own* key
+subsequence, never on how the cluster interleaved, so feeding each shard
+its stable group of a batch in one call is bit-identical — I/O counters,
+pending blocks, layouts, block ids, memory peaks — to per-key routing.
 The parity suite extends over shard counts and backends to pin this.
 
-Aggregation: :attr:`stats` sums the shard :class:`TableStats`;
-:meth:`layout_snapshot` unions the (disjoint) shard snapshots and
-routes the one-I/O address function through the router hash, so the
+Both owners are shard sets and fold the shard ledgers into their own
+(:meth:`ShardSet._fold`): :class:`ShardedDictionary` into ``ctx.stats``
+after every call, so the drivers' ``t_u``/``t_q`` read it as for any
+table, and :class:`~repro.service.service.DictionaryService` at epoch
+close.
+
+Aggregation: :attr:`ShardSet.stats` sums the shard :class:`TableStats`;
+:meth:`ShardSet.layout_snapshot` unions the (disjoint) shard snapshots
+and routes the one-I/O address function through the directory, so the
 lower-bound zone analyser consumes a sharded table like any other.
 """
 
@@ -43,23 +40,23 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..em.cache import CacheStats
-from ..em.errors import ConfigurationError
-from ..em.iostats import IOStats
+from ..em.errors import ConfigurationError, StorageFault
+from ..em.iostats import IOSnapshot, IOStats
 from ..em.storage import EMContext
 from ..hashing.base import HashFunction
 from ..hashing.family import MULTIPLY_SHIFT
 from .base import ExternalDictionary, LayoutSnapshot, TableStats
-from .batching import normalize_keys, partition_by_bucket, partition_positions
+from .batching import partition_positions
+from .rebalance import MigrationReport, SlotMove, apply_moves
 
 __all__ = [
     "DEFAULT_SLOTS_PER_SHARD",
     "SHARD_ID_STRIDE",
+    "ShardSet",
     "ShardedDictionary",
     "SlotDirectory",
     "make_sharded",
     "shard_view",
-    "sum_table_stats",
-    "union_layout",
 ]
 
 #: Block-id stride between shard disks.  Far above any realistic
@@ -81,26 +78,23 @@ _ROUTER_SEED = 0x51A2D
 ShardFactory = Callable[[EMContext], ExternalDictionary]
 
 
-def shard_view(
-    parent: EMContext, index: int, *, stats: IOStats | None = None
-) -> EMContext:
-    """A per-shard context: own disk and memory, shared I/O ledger.
+def shard_view(parent: EMContext, index: int) -> EMContext:
+    """Shard ``index``'s private machine, built from the template ``parent``.
 
     Models one machine of an ``N``-machine cluster: full ``(b, m, u)``
-    geometry, a private disk whose ids start at ``index · 2^48`` (a
-    disjoint namespace per shard), a private ``m``-word memory budget,
-    and the parent's :class:`IOStats` so the cluster's I/O total
-    accumulates in one place.  Passing ``stats`` swaps in a different
-    ledger — the service layer gives each shard machine a private one so
-    concurrent shards never race on a shared counter object.
+    geometry and the parent's policy, record width and backend kind; a
+    private disk whose ids start at ``index · 2^48`` (a disjoint
+    namespace per shard), a private ``m``-word memory budget, and a
+    private :class:`IOStats` ledger, so shards never race on a shared
+    counter object and each pending read-modify-write block is meaningful
+    against its own disk.  Whoever owns the shard folds that ledger into
+    a cluster total (:meth:`ShardSet._fold`).
 
     The parent's ``cache_blocks`` axis is inherited: each shard machine
     gets its **own** buffer pool of that many frames, charged against
     its own memory budget (the context builds a
     :class:`~repro.em.cache.CachedDisk` when the axis is positive).
     """
-    if stats is None:
-        stats = parent.stats
     return EMContext(
         params=parent.params,
         policy=parent.policy,
@@ -108,7 +102,6 @@ def shard_view(
         backend=parent.backend,
         cache_blocks=parent.cache_blocks,
         first_id=index * SHARD_ID_STRIDE,
-        stats=stats,
         hard_memory=parent.hard_memory,
     )
 
@@ -195,80 +188,244 @@ class SlotDirectory:
         )
 
 
-def sum_table_stats(tables: Sequence[ExternalDictionary]) -> TableStats:
-    """The shard tables' operation counters, summed."""
-    agg = TableStats()
-    for table in tables:
-        s = table.stats
-        agg.inserts += s.inserts
-        agg.lookups += s.lookups
-        agg.hits += s.hits
-        agg.deletes += s.deletes
-        agg.rebuilds += s.rebuilds
-        agg.merges += s.merges
-        for k, v in s.extra.items():
-            agg.extra[k] = agg.extra.get(k, 0) + v
-    return agg
+def _counters(ctx: EMContext) -> tuple[IOSnapshot, CacheStats | None]:
+    """A shard's ``(I/O, cache)`` counters now; no cache mark uncached."""
+    cache = ctx.cache_stats()
+    return ctx.stats.snapshot(), cache.snapshot() if cache is not None else None
 
 
-def union_layout(
-    tables: Sequence[ExternalDictionary], directory: SlotDirectory
-) -> LayoutSnapshot:
-    """Union of the shard tables' snapshots; the address routes by shard.
+class ShardSet:
+    """``N`` shard machines and the slot directory that routes keys to them.
 
-    Block-id disjointness is structural (strided disk namespaces), so
-    the union never collides and the zone analyser decomposes a sharded
-    table exactly like an unsharded one.
+    The base of both owners, :class:`ShardedDictionary` and
+    :class:`~repro.service.service.DictionaryService`.  Shards are built
+    from the template context ``ctx`` (see :func:`shard_view`); the
+    router hash is the fixed-seed multiply-shift function and the
+    directory starts on the static ``hash % N`` split, so every owner
+    over ``N`` shards stores a key on the same shard.  ``slots`` is the
+    directory fan-out (a multiple of ``shards``;
+    ``DEFAULT_SLOTS_PER_SHARD * shards`` by default).  A shard's context
+    is its table's ``ctx``; an owner calls :meth:`_fold` after anything
+    that charges a shard.
     """
-    snaps = [table.layout_snapshot() for table in tables]
-    blocks: dict[int, tuple[int, ...]] = {}
-    memory_items: frozenset[int] = frozenset()
-    for snap in snaps:
-        blocks.update(snap.blocks)
-        memory_items |= snap.memory_items
-    addresses = [snap.address for snap in snaps]
-    shards = directory.shards
 
-    def address(key: int) -> int | None:
-        if shards == 1:
-            return addresses[0](key)
-        return addresses[directory.shard_of(key)](key)
-
-    # A static map costs the router seed + shard count to describe
-    # (2 words, as before); a migrated map must also be written down
-    # slot by slot — the honest description cost of adaptivity.
-    route_words = 2 if directory.is_static() else 2 + directory.slots
-    return LayoutSnapshot(
-        memory_items=memory_items,
-        blocks=blocks,
-        address=address,
-        address_description_words=sum(
-            snap.address_description_words for snap in snaps
+    def __init__(
+        self,
+        ctx: EMContext,
+        shard_factory: ShardFactory,
+        shards: int,
+        *,
+        slots: int | None = None,
+    ) -> None:
+        self.directory = SlotDirectory(
+            MULTIPLY_SHIFT.sample(ctx.u, seed=_ROUTER_SEED), shards, slots=slots
         )
-        + route_words,
-    )
+        self.ctx = ctx
+        self.shards = shards
+        contexts = [shard_view(ctx, i) for i in range(shards)]
+        # Marked before the factories run, so the owner's first fold
+        # carries any I/O a factory charges at construction.
+        self._marks = [_counters(sub) for sub in contexts]
+        self._tables = [shard_factory(sub) for sub in contexts]
+
+    def _adopt_shards(
+        self, directory: SlotDirectory, tables: Sequence[ExternalDictionary]
+    ) -> None:
+        """Take over restored shard tables, marked at their live counters
+        (a snapshot is taken right after a fold, so the owner's ledger
+        already holds them)."""
+        self.directory = directory
+        self.shards = directory.shards
+        self._tables = list(tables)
+        self._marks = [_counters(table.ctx) for table in self._tables]
+
+    @property
+    def router(self) -> HashFunction:
+        return self.directory.router
+
+    # -- for owners ------------------------------------------------------------
+
+    def _apply(self, shard: int, ins, dels, looks) -> tuple:
+        """Run one shard's share of an epoch: insert, then delete, then lookup.
+
+        ``None`` skips a kind.  Returns ``(delete results, lookup
+        results)``, ``None`` for a skipped kind.  The fixed kind order is
+        observationally program order when no key crosses kinds, which
+        the epoch builder guarantees.  A :class:`StorageFault` is
+        re-raised naming the shard, with its index on ``.shard``.
+        """
+        table = self._tables[shard]
+        try:
+            if ins is not None:
+                table.insert_batch(ins)
+            del_res = table.delete_batch(dels) if dels is not None else None
+            look_res = table.lookup_batch(looks) if looks is not None else None
+        except StorageFault as exc:
+            wrapped = type(exc)(f"shard {shard}: {exc}")
+            wrapped.shard = shard
+            raise wrapped from exc
+        return del_res, look_res
+
+    def _fold(
+        self, ledger: IOStats, cache: CacheStats | None = None
+    ) -> list[IOSnapshot]:
+        """Add each shard's I/O (and, given ``cache``, buffer-pool) counters
+        since the last fold to the owner's, ascending shard order; returns
+        the per-shard I/O deltas.  Pure counter addition, so the totals do
+        not depend on the order the shards ran in; the pending
+        read-modify-write block stays on the shard ledger."""
+        return [self._fold_shard(i, ledger, cache) for i in range(self.shards)]
+
+    def _fold_shard(
+        self, shard: int, ledger: IOStats, cache: CacheStats | None = None
+    ) -> IOSnapshot:
+        """:meth:`_fold` of one shard, for an owner call that touched only it."""
+        io_mark, cache_mark = self._marks[shard]
+        io_now, cache_now = self._marks[shard] = _counters(self._tables[shard].ctx)
+        delta = io_now - io_mark
+        ledger.absorb(delta)
+        if cache is not None and cache_mark is not None:
+            cache.absorb(cache_now.delta_since(cache_mark))
+        return delta
+
+    def _migrate(
+        self, moves: Sequence[SlotMove | tuple[int, int, int]]
+    ) -> MigrationReport:
+        """Drain, refill and repoint each moved slot (see
+        :func:`~repro.tables.rebalance.apply_moves`); the drains charge
+        the shard ledgers, so the owner folds after."""
+        return apply_moves(self.directory, self._tables, moves)
+
+    # -- aggregation -------------------------------------------------------------
+
+    @property
+    def stats(self) -> TableStats:
+        """The shard tables' operation counters, summed."""
+        agg = TableStats()
+        for table in self._tables:
+            s = table.stats
+            agg.inserts += s.inserts
+            agg.lookups += s.lookups
+            agg.hits += s.hits
+            agg.deletes += s.deletes
+            agg.rebuilds += s.rebuilds
+            agg.merges += s.merges
+            for k, v in s.extra.items():
+                agg.extra[k] = agg.extra.get(k, 0) + v
+        return agg
+
+    def __len__(self) -> int:
+        return sum(len(table) for table in self._tables)
+
+    def shard_tables(self) -> list[ExternalDictionary]:
+        """The inner tables, shard order."""
+        return list(self._tables)
+
+    def shard_sizes(self) -> list[int]:
+        return [len(table) for table in self._tables]
+
+    def shard_io_snapshots(self) -> list[IOSnapshot]:
+        """Per-shard ledger snapshots, shard order."""
+        return [table.ctx.stats.snapshot() for table in self._tables]
+
+    def memory_high_water(self) -> int:
+        """Sum of per-shard memory peaks (each machine peaks on its own)."""
+        return sum(table.ctx.memory.high_water for table in self._tables)
+
+    def nonempty_disk_blocks(self) -> int:
+        return sum(table.ctx.disk.nonempty_blocks() for table in self._tables)
+
+    def cache_stats(self) -> CacheStats | None:
+        """Summed per-shard :class:`~repro.em.cache.CacheStats`, or ``None``.
+
+        ``None`` when the cluster runs uncached (``cache_blocks=0``);
+        otherwise a fresh aggregate — pure counter addition over the
+        shard pools, so it is independent of shard execution order.
+        """
+        if not self.ctx.cache_blocks:
+            return None
+        agg = CacheStats()
+        for table in self._tables:
+            agg.absorb(table.ctx.cache_stats())
+        return agg
+
+    def layout_snapshot(self) -> LayoutSnapshot:
+        """Union of the shard snapshots; the address routes by shard.
+
+        Block-id disjointness is structural (strided disk namespaces), so
+        the union never collides and the zone analyser decomposes a
+        sharded table exactly like an unsharded one.
+        """
+        snaps = [table.layout_snapshot() for table in self._tables]
+        blocks: dict[int, tuple[int, ...]] = {}
+        memory_items: frozenset[int] = frozenset()
+        for snap in snaps:
+            blocks.update(snap.blocks)
+            memory_items |= snap.memory_items
+        addresses = [snap.address for snap in snaps]
+        directory = self.directory
+
+        def address(key: int) -> int | None:
+            return addresses[directory.shard_of(key)](key)
+
+        # A static map costs the router seed + shard count to describe
+        # (2 words); a migrated map must also be written down slot by
+        # slot — the honest description cost of adaptivity.
+        route_words = 2 if directory.is_static() else 2 + directory.slots
+        return LayoutSnapshot(
+            memory_items=memory_items,
+            blocks=blocks,
+            address=address,
+            address_description_words=sum(
+                snap.address_description_words for snap in snaps
+            )
+            + route_words,
+        )
+
+    def check_invariants(self) -> None:
+        """Every shard's own check, plus: each item is stored on the shard
+        its key routes to, and each shard allocates only inside its own
+        block-id namespace."""
+        seen_blocks: set[int] = set()
+        for i, table in enumerate(self._tables):
+            table.check_invariants()
+            snap = table.layout_snapshot()
+            ids = set(snap.blocks)
+            assert not (ids & seen_blocks), f"shard {i} reuses foreign block ids"
+            seen_blocks |= ids
+            items = np.array(
+                sorted(snap.memory_items | snap.disk_items()), dtype=np.uint64
+            )
+            owners = self.directory.shards_of(items)
+            stray = np.flatnonzero(owners != i)
+            assert not len(stray), (
+                f"item {int(items[stray[0]])} stored in shard {i}, routes to "
+                f"{int(owners[stray[0]])}"
+            )
+            lo = i * SHARD_ID_STRIDE
+            assert all(lo <= bid < lo + SHARD_ID_STRIDE for bid in ids), (
+                f"shard {i} allocated outside its id namespace"
+            )
 
 
-class ShardedDictionary(ExternalDictionary):
-    """Routes one logical dictionary over ``N`` independent shards.
+class ShardedDictionary(ShardSet, ExternalDictionary):
+    """Routes one logical dictionary over ``N`` shards.
+
+    A :class:`ShardSet` behind the :class:`ExternalDictionary` interface;
+    the shard set precedes the interface in the method order, so the
+    aggregates (``stats``, ``len``, :meth:`layout_snapshot` …) are its.
+    Every call folds the shard ledgers into ``ctx.stats`` right after,
+    so the parent ledger carries every shard charge as for any table.
 
     Parameters
     ----------
     ctx:
-        The parent context; shards get :func:`shard_view`\\ s of it.
+        The parent context: the template of every shard machine (see
+        :func:`shard_view`) and the ledger the shards' I/O folds into.
     shard_factory:
         Builds the inner table from a (per-shard) context.
     shards:
         Number of shards ``N >= 1``.
-    router:
-        Shard-of-key hash; a fixed-seed multiply-shift function by
-        default (independent of the tables' bucket hashes).
-    slots:
-        Slot-directory fan-out (must divide by ``shards``); defaults to
-        ``DEFAULT_SLOTS_PER_SHARD * shards``.
-    directory:
-        An existing :class:`SlotDirectory` to route through (e.g. a
-        restored one); built fresh (static map) when omitted.
     """
 
     def __init__(
@@ -277,74 +434,38 @@ class ShardedDictionary(ExternalDictionary):
         shard_factory: ShardFactory,
         *,
         shards: int = 1,
-        router: HashFunction | None = None,
-        slots: int | None = None,
-        directory: SlotDirectory | None = None,
         name: str | None = None,
     ) -> None:
-        if shards <= 0:
-            raise ConfigurationError(f"shard count must be positive, got {shards}")
-        # Mirrors ExternalDictionary.__init__ except ``stats`` and
-        # ``_size``, which are read-only aggregate properties here and
-        # must not be assigned.
-        self.ctx = ctx
+        # In place of ExternalDictionary.__init__: ``stats`` and ``_size``
+        # are read-only aggregate properties here and must not be
+        # assigned.
         self.name = name or f"ShardedDictionary[{shards}]"
         self._charge_key = f"{self.name}@{id(self)}"
-        self.shards = shards
-        self.router = (
-            router
-            if router is not None
-            else MULTIPLY_SHIFT.sample(ctx.u, seed=_ROUTER_SEED)
-        )
-        if directory is not None:
-            if directory.shards != shards:
-                raise ConfigurationError(
-                    f"directory routes {directory.shards} shards, table has "
-                    f"{shards}"
-                )
-            self.directory = directory
-            self.router = directory.router
-        else:
-            self.directory = SlotDirectory(self.router, shards, slots=slots)
-        self._contexts = [shard_view(ctx, i) for i in range(shards)]
-        self._shards: list[ExternalDictionary] = [
-            shard_factory(sub) for sub in self._contexts
-        ]
-
-    # -- routing -----------------------------------------------------------
+        super().__init__(ctx, shard_factory, shards)
+        self._fold(ctx.stats)
 
     def shard_of(self, key: int) -> int:
         """The shard index ``key`` routes to."""
-        if self.shards == 1:
-            return 0
         return self.directory.shard_of(key)
-
-    def _shard_idx(self, arr: np.ndarray) -> np.ndarray:
-        return self.directory.shards_of(arr)
-
-    def _groups(self, arr: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        """Stable shard partition returning original positions per group.
-
-        ``[(shard, positions), ...]`` in ascending shard order, each
-        ``positions`` preserving arrival order — the index structure
-        needed to scatter per-key results and costs back to arrival
-        order (see :func:`~repro.tables.batching.partition_positions`).
-        """
-        return partition_positions(self._shard_idx(arr))
 
     # -- scalar operations --------------------------------------------------
 
     def insert(self, key: int) -> None:
-        self._shards[self.shard_of(key)].insert(key)
+        shard = self.shard_of(key)
+        self._tables[shard].insert(key)
+        self._fold_shard(shard, self.ctx.stats)
 
     def lookup(self, key: int) -> bool:
-        return self._shards[self.shard_of(key)].lookup(key)
+        shard = self.shard_of(key)
+        found = self._tables[shard].lookup(key)
+        self._fold_shard(shard, self.ctx.stats)
+        return found
 
     def delete(self, key: int) -> bool:
-        # Routed through the batch helper so the router has no remaining
-        # per-key-only operation (one-element batches are I/O-identical
-        # by the tables' batch contract).
-        return bool(self.delete_batch([key])[0])
+        shard = self.shard_of(key)
+        removed = self._tables[shard].delete(key)
+        self._fold_shard(shard, self.ctx.stats)
+        return removed
 
     # -- batch operations -----------------------------------------------------
 
@@ -353,18 +474,14 @@ class ShardedDictionary(ExternalDictionary):
 
         Each shard receives exactly the subsequence of ``keys`` the
         scalar loop would have fed it, and shard state is fully
-        independent (own disk namespace, own memory), so this is
+        independent (own disk namespace, memory and ledger), so this is
         bit-identical to ``insert_many`` — including block ids and
         memory peaks — whatever the shard count.
         """
-        if self.shards == 1:
-            self._shards[0].insert_batch(keys)
-            return
-        key_list, arr = normalize_keys(keys)
-        if not key_list:
-            return
-        for shard, group in partition_by_bucket(arr, self._shard_idx(arr), stable=True):
-            self._shards[shard].insert_batch(group)
+        arr = np.asarray(keys, dtype=np.uint64)
+        for shard, pos in partition_positions(self.directory.shards_of(arr)):
+            self._tables[shard].insert_batch(arr[pos])
+        self._fold(self.ctx.stats)
 
     def lookup_batch(
         self,
@@ -372,12 +489,8 @@ class ShardedDictionary(ExternalDictionary):
         *,
         cost_out: list[int] | None = None,
     ) -> np.ndarray:
-        """Shard-grouped lookups, scattered back to arrival order.
-
-        Per-query results and I/O costs are state-independent, so the
-        grouped order charges the same counters as the scalar loop.
-        """
-        return self._scatter("lookup_batch", keys, cost_out)
+        """Shard-grouped lookups, scattered back to arrival order."""
+        return self._per_shard("lookup_batch", keys, cost_out)
 
     def delete_batch(
         self,
@@ -392,126 +505,52 @@ class ShardedDictionary(ExternalDictionary):
         it (stable groups), so results and per-shard charges are
         bit-identical to per-key routing.
         """
-        return self._scatter("delete_batch", keys, cost_out)
+        return self._per_shard("delete_batch", keys, cost_out)
 
-    def _scatter(
+    def _per_shard(
         self, method: str, keys: Sequence[int] | np.ndarray, cost_out: list[int] | None
     ) -> np.ndarray:
-        """One inner ``method`` batch per shard group; results and costs
-        scattered back to arrival order.  The group holding the final key
-        runs last, so the pending read-modify-write block ends where the
-        scalar walk leaves it."""
-        if self.shards == 1:
-            return getattr(self._shards[0], method)(keys, cost_out=cost_out)
-        key_list, arr = normalize_keys(keys)
-        n = len(key_list)
-        out = np.zeros(n, dtype=bool)
-        if n == 0:
-            return out
-        groups = self._groups(arr)
-        last_shard = int(self._shard_idx(arr[-1:])[0])
-        groups.sort(key=lambda g: (g[0] == last_shard, g[0]))
-        costs = np.zeros(n, dtype=np.int64) if cost_out is not None else None
-        for shard, pos in groups:
+        """One inner ``method`` batch per stable shard group; results and
+        per-key costs scattered back to arrival order."""
+        arr = np.asarray(keys, dtype=np.uint64)
+        out = np.zeros(len(arr), dtype=bool)
+        costs = np.zeros(len(arr), dtype=np.int64)
+        for shard, pos in partition_positions(self.directory.shards_of(arr)):
             sub_costs: list[int] | None = [] if cost_out is not None else None
-            run = getattr(self._shards[shard], method)
+            run = getattr(self._tables[shard], method)
             out[pos] = run(arr[pos], cost_out=sub_costs)
-            if costs is not None:
+            if sub_costs is not None:
                 costs[pos] = sub_costs
         if cost_out is not None:
             cost_out.extend(costs.tolist())
+        self._fold(self.ctx.stats)
         return out
 
-    # -- migration -----------------------------------------------------------
-
-    def migrate_slots(self, moves):
-        """Apply slot moves (``[(slot, src, dst), ...]``) to this cluster.
-
-        Thin wrapper over :func:`repro.tables.rebalance.apply_moves`:
-        drains each moved slot's live keys out of the source shard with
-        ``delete_batch`` and re-inserts them into the destination's own
-        namespace, then repoints the directory.  Returns the
-        :class:`~repro.tables.rebalance.MigrationReport`.
-        """
-        from .rebalance import apply_moves
-
-        return apply_moves(self.directory, self._shards, moves)
-
-    # -- aggregation ---------------------------------------------------------
-
-    @property
-    def stats(self) -> TableStats:
-        """Aggregated operation counters over all shards."""
-        return sum_table_stats(self._shards)
+    def migrate_slots(
+        self, moves: Sequence[SlotMove | tuple[int, int, int]]
+    ) -> MigrationReport:
+        """Apply slot moves (``[(slot, src, dst), ...]``) to this cluster:
+        drain each moved slot's live keys out of the source shard,
+        re-insert them into the destination's own namespace, repoint the
+        directory."""
+        report = self._migrate(moves)
+        self._fold(self.ctx.stats)
+        return report
 
     @property
     def _size(self) -> int:
-        """Live aggregate size (the base class reads ``_size`` directly)."""
-        return sum(len(table) for table in self._shards)
-
-    def shard_tables(self) -> list[ExternalDictionary]:
-        """The inner tables, shard order (instrumentation)."""
-        return list(self._shards)
-
-    def shard_sizes(self) -> list[int]:
-        return [len(table) for table in self._shards]
+        """Live aggregate size (the base class's ``repr`` reads it)."""
+        return len(self)
 
     def memory_words(self) -> int:
         # Per-machine residency plus the router seed and shard count.
-        return sum(table.memory_words() for table in self._shards) + 2
-
-    def memory_high_water(self) -> int:
-        """Sum of per-shard memory peaks (each machine peaks on its own)."""
-        return sum(sub.memory.high_water for sub in self._contexts)
-
-    def nonempty_disk_blocks(self) -> int:
-        return sum(sub.disk.nonempty_blocks() for sub in self._contexts)
-
-    def cache_stats(self):
-        """Summed per-shard :class:`~repro.em.cache.CacheStats`, or ``None``.
-
-        ``None`` when the cluster runs uncached (``cache_blocks=0``);
-        otherwise a fresh aggregate — pure counter addition over the
-        shard pools, so it is independent of shard execution order.
-        """
-        per_shard = [sub.cache_stats() for sub in self._contexts]
-        if not any(s is not None for s in per_shard):
-            return None
-        agg = CacheStats()
-        for s in per_shard:
-            if s is not None:
-                agg.absorb(s)
-        return agg
-
-    # -- instrumentation -------------------------------------------------------
-
-    def layout_snapshot(self) -> LayoutSnapshot:
-        """Union of the shard snapshots; the address routes by shard."""
-        return union_layout(self._shards, self.directory)
-
-    def check_invariants(self) -> None:
-        seen_blocks: set[int] = set()
-        for i, (table, sub) in enumerate(zip(self._shards, self._contexts)):
-            table.check_invariants()
-            snap = table.layout_snapshot()
-            ids = set(snap.blocks)
-            assert not (ids & seen_blocks), f"shard {i} reuses foreign block ids"
-            seen_blocks |= ids
-            for x in snap.memory_items | snap.disk_items():
-                assert self.shard_of(x) == i, (
-                    f"item {x} stored in shard {i}, routes to {self.shard_of(x)}"
-                )
-            lo = i * SHARD_ID_STRIDE
-            assert all(lo <= bid < lo + SHARD_ID_STRIDE for bid in ids), (
-                f"shard {i} allocated outside its id namespace"
-            )
+        return sum(table.memory_words() for table in self._tables) + 2
 
 
 def make_sharded(
     table_factory: ShardFactory,
     shards: int,
     *,
-    router: HashFunction | None = None,
     name: str | None = None,
 ) -> ShardFactory:
     """Wrap a driver ``TableFactory`` into a sharded one.
@@ -522,8 +561,6 @@ def make_sharded(
     come from ``table_factory``.
     """
     def factory(ctx: EMContext) -> ExternalDictionary:
-        return ShardedDictionary(
-            ctx, table_factory, shards=shards, router=router, name=name
-        )
+        return ShardedDictionary(ctx, table_factory, shards=shards, name=name)
 
     return factory

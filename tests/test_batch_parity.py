@@ -29,8 +29,8 @@ Two further axes ride on top since the pluggable-backend PR:
 * **cached axis** — with a buffer pool attached (2 and 48 frames), the
   batch paths must also leave every pool exactly where the cached
   scalar loops leave it: hit/miss/negative-hit/eviction counts, the LRU
-  resident order, and the pending read-modify-write block (not for the
-  sharded router, see ``_cache_state``), after every ``lookup_batch``.
+  resident order, and the pending read-modify-write block (each shard's,
+  for the sharded router), after every ``lookup_batch``.
   The ``REPLAYING`` tables answer cached batches vectorised too,
   replaying the scalar walk's block ids through the pool, so this pins
   the replay order;
@@ -180,23 +180,21 @@ def _assert_same(scalar_state, batch_state, label: str) -> None:
 
 
 def _cache_state(ctx, table):
-    """Per pool: hits, misses, negative hits, evictions and the LRU
-    resident order; plus the pending read-modify-write block.
-
-    The sharded router's pools are compared shard by shard, but not its
-    pending block: its shards share one ledger and it runs their groups
-    one after another, so when the batch's last key charges no read (an
-    in-memory or cache hit) it cannot tell which shard charged last.
-    """
-    contexts = getattr(table, "_contexts", None)
-    pools = [sub.disk.cache for sub in contexts or [ctx]]
+    """Per disk (each shard's, for the sharded router): the pool's hits,
+    misses, negative hits, evictions and LRU resident order, and the
+    ledger's pending read-modify-write block."""
+    contexts = (
+        [t.ctx for t in table.shard_tables()]
+        if isinstance(table, ShardedDictionary)
+        else [ctx]
+    )
     return {
         "pools": [
             (pool.stats.hits, pool.stats.misses, pool.stats.negative_hits,
              pool.stats.evictions, pool.resident())
-            for pool in pools
+            for pool in [sub.disk.cache for sub in contexts]
         ],
-        "rmw": None if contexts else ctx.stats._last_read_block,
+        "rmw": [sub.stats._last_read_block for sub in contexts],
     }
 
 

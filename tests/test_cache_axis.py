@@ -661,7 +661,7 @@ class TestShardedAndService:
         table.delete_batch(keys[::5])
         table.lookup_batch(probe)
         agg = table.cache_stats()
-        per_shard = [sub.cache_stats() for sub in table._contexts]
+        per_shard = [sub.cache_stats() for sub in [t.ctx for t in table.shard_tables()]]
         assert agg.hits == sum(s.hits for s in per_shard) > 0
         assert agg.misses == sum(s.misses for s in per_shard) > 0
 
@@ -688,7 +688,9 @@ class TestShardedAndService:
             with DictionaryService(ctx, _buffered, shards=4,
                                    epoch_ops=512) as svc:
                 rep = ClosedLoopClient(svc, window=1024).drive(kinds, keys)
-                shard_caches = [sub.cache_stats() for sub in svc._contexts]
+                shard_caches = [
+                    sub.cache_stats() for sub in [t.ctx for t in svc.shard_tables()]
+                ]
                 return svc.io_snapshot(), svc.cache_snapshot(), rep, shard_caches
 
         u_io, u_cache, u_rep, _ = run(0)

@@ -110,7 +110,7 @@ class TestServiceFaultMessages:
             executor="serial",
             epoch_ops=64,
         )
-        for sub in svc._contexts:
+        for sub in [t.ctx for t in svc.shard_tables()]:
             sub.disk.backend = RetryingBackend(
                 FaultInjectingBackend(
                     sub.disk.backend,

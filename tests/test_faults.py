@@ -333,7 +333,7 @@ class TestServiceFaultNaming:
             executor="serial",
             epoch_ops=64,
         )
-        for sub in svc._contexts:
+        for sub in [t.ctx for t in svc.shard_tables()]:
             svc_retrier = RetryingBackend(
                 FaultInjectingBackend(sub.disk.backend, schedule=schedule),
                 policy=RetryPolicy(max_retries=2, backoff_s=0),

@@ -150,12 +150,12 @@ class TestSlotDirectory:
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     @pytest.mark.parametrize("shards", [2, 3, 5])
     def test_scalar_vector_parity_per_generator(self, kind, shards):
-        """``shard_of(k) == _shard_idx([k])[0]`` for every kind × N."""
+        """``shard_of(k) == directory.shards_of([k])[0]`` for every kind × N."""
         ctx = make_context(b=16, m=128, u=U)
         table = ShardedDictionary(ctx, _buffered, shards=shards)
         keys = _gen(kind, shards=shards).take(256)
         for k in keys:
-            vec = table._shard_idx(np.array([k], dtype=np.uint64))
+            vec = table.directory.shards_of(np.array([k], dtype=np.uint64))
             assert table.shard_of(k) == int(vec[0])
 
 
@@ -301,14 +301,14 @@ class TestApplyMoves:
 
     def test_migration_io_is_charged(self):
         table, _ = self._cluster()
-        marks = [sub.stats.total for sub in table._contexts]
+        marks = [sub.stats.total for sub in [t.ctx for t in table.shard_tables()]]
         counts = [
             (len(slot_keys(table.shard_tables()[0], table.directory, int(s))), int(s))
             for s in table.directory.shard_slots(0)
         ]
         hot = max(counts)[1]
         table.migrate_slots([(hot, 0, 1)])
-        after = [sub.stats.total for sub in table._contexts]
+        after = [sub.stats.total for sub in [t.ctx for t in table.shard_tables()]]
         assert sum(after) > sum(marks)  # drains and refills hit the ledgers
 
 

@@ -299,6 +299,40 @@ def test_service_places_keys_like_sharded_router(shards):
             assert items_m == items_t
 
 
+def test_check_invariants_catches_misrouted_keys():
+    """A slot repointed without a drain strands its keys on the old shard:
+    lookups miss them, and the routing check names one."""
+    keys = np.array(UniformKeys(10**12, seed=3).take(6000), dtype=np.uint64)
+    ctx = make_context(b=32, m=512)
+    with DictionaryService(ctx, _buffered, shards=4) as svc:
+        svc.run(np.full(len(keys), OP_INSERT, dtype=np.uint8), keys)
+        svc.check_invariants()
+        slot = int(svc.directory.shard_slots(0)[0])
+        stranded = keys[svc.directory.slots_of(keys) == slot]
+        assert len(stranded) > 0
+        svc.directory.assign(slot, 1)
+        run = svc.run(np.full(len(stranded), OP_LOOKUP, dtype=np.uint8), stranded)
+        assert not run.lookup_found.any()
+        with pytest.raises(AssertionError, match="stored in shard 0, routes to 1"):
+            svc.check_invariants()
+
+
+def test_rebalanced_service_passes_routing_check():
+    wl = BulkMixedWorkload(
+        make_generator("zipf", 10**12, 5, theta=1.3),
+        mix=(0.4, 0.4, 0.1, 0.1), seed=2, chunk=256,
+    )
+    kinds, keys = wl.take_arrays(6000)
+    ctx = make_context(b=16, m=128, hard_memory=False)
+    with DictionaryService(
+        ctx, _buffered, shards=4, epoch_ops=256,
+        rebalance=RebalanceConfig(threshold=1.1, window=2, cooldown=1, min_io=1),
+    ) as svc:
+        svc.run(kinds, keys)
+        assert svc.migrated_slots > 0 and not svc.directory.is_static()
+        svc.check_invariants()
+
+
 # -- construction / validation ----------------------------------------------
 
 

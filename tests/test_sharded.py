@@ -53,7 +53,7 @@ class TestRouting:
         _, table = sharded
         keys = _keys(400)
         arr = np.asarray(keys, dtype=np.uint64)
-        vec = table._shard_idx(arr).tolist()
+        vec = table.directory.shards_of(arr).tolist()
         assert vec == [table.shard_of(k) for k in keys]
 
     def test_lookup_finds_all_and_only_inserted(self, sharded):
@@ -111,20 +111,55 @@ class TestAggregation:
         # The router hash spreads keys roughly evenly over 4 shards.
         assert min(table.shard_sizes()) > len(keys) // 10
 
-    def test_iostats_shared_ledger(self, sharded):
+    def test_shard_ledgers_fold_into_parent(self, sharded):
         ctx, table = sharded
-        before = ctx.stats.total
+        ledgers = [t.ctx.stats for t in table.shard_tables()]
+        assert len({id(s) for s in [ctx.stats, *ledgers]}) == 1 + len(ledgers)
+
+        def assert_folded():
+            shard_sum = {}
+            for s in ledgers:
+                for field, value in s.snapshot().as_dict().items():
+                    shard_sum[field] = shard_sum.get(field, 0) + value
+            assert ctx.stats.snapshot().as_dict() == shard_sum
+
+        assert_folded()
         # Enough keys that every shard leaves its in-memory bootstrap.
-        table.insert_batch(_keys(8000))
+        keys = _keys(8000)
+        table.insert_batch(keys[:7000])
+        assert ctx.stats.total > 0
+        assert_folded()
+        for k in keys[7000:7040]:
+            table.insert(k)
+            assert_folded()
+            table.lookup(k)
+            assert_folded()
+            table.delete(k)
+            assert_folded()
+        table.lookup_batch(keys[:500])
+        assert_folded()
+        before, costs = ctx.stats.total, []
+        table.lookup_batch(keys[:500], cost_out=costs)
+        assert_folded()
+        assert sum(costs) == ctx.stats.total - before > 0
+        table.delete_batch(keys[:100])
+        assert_folded()
+        before, costs = ctx.stats.total, []
+        table.delete_batch(keys[100:200], cost_out=costs)
+        assert_folded()
+        assert sum(costs) == ctx.stats.total - before > 0
+        before = ctx.stats.total
+        slot = int(table.directory.shard_slots(0)[0])
+        report = table.migrate_slots([(slot, 0, 1)])
+        assert report.keys_moved > 0
         assert ctx.stats.total > before
-        for sub in table._contexts:
-            assert sub.stats is ctx.stats
+        assert_folded()
 
     def test_memory_high_water_aggregates(self, sharded):
         _, table = sharded
         table.insert_batch(_keys())
         assert table.memory_high_water() == sum(
-            sub.memory.high_water for sub in table._contexts
+            sub.memory.high_water for sub in [t.ctx for t in table.shard_tables()]
         )
         assert table.memory_high_water() > 0
 
@@ -132,7 +167,7 @@ class TestAggregation:
         _, table = sharded
         table.insert_batch(_keys(8000))
         assert table.nonempty_disk_blocks() == sum(
-            sub.disk.nonempty_blocks() for sub in table._contexts
+            sub.disk.nonempty_blocks() for sub in [t.ctx for t in table.shard_tables()]
         )
         assert table.nonempty_disk_blocks() > 0
 
@@ -177,7 +212,6 @@ class TestShardView:
     def test_shard_view_strides_and_shares(self):
         parent = make_context(b=32, m=512, backend="arena")
         sub = shard_view(parent, 3)
-        assert sub.stats is parent.stats
         assert sub.disk is not parent.disk
         assert sub.memory is not parent.memory
         assert sub.params == parent.params
