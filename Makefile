@@ -12,7 +12,7 @@ help:
 	@echo "                     (includes the crash-recovery chaos suite)"
 	@echo "  make test-fast     quick subset: tables + parity + EM layer (disk, backends,"
 	@echo "                     cache) + hashing + the shard set's two owners (router,"
-	@echo "                     service) + the pinned paper points"
+	@echo "                     service) + request-path kernels + the pinned paper points"
 	@echo "  make chaos-test    crash-point matrix only: journal/recovery/fault-injection"
 	@echo "  make overload-test open-loop traffic + admission/shedding/breaker invariants"
 	@echo "  make obs-test      observability: trace framing/determinism, metrics, relabelling"
@@ -37,6 +37,8 @@ test:
 ## migration journal, generator determinism — and the observability
 ## contracts: trace framing/determinism, metrics folding, relabelling —
 ## the shard set's two owners: the sharded router and the service —
+## the request-path kernels (epoch bounds, shard split, membership, LRU
+## replay) pinned to their plain reference versions —
 ## and the reproduced paper points pinned to their exact charged I/Os).
 test-fast:
 	$(PY) -m pytest tests/test_batch_parity.py tests/test_em_disk.py \
@@ -45,7 +47,7 @@ test-fast:
 	    tests/test_logmethod.py tests/test_rebalance.py \
 	    tests/test_obs.py tests/test_hashing.py \
 	    tests/test_sharded.py tests/test_service.py \
-	    tests/test_paper_claims.py -q
+	    tests/test_request_kernels.py tests/test_paper_claims.py -q
 
 ## Crash-consistency only: the chaos matrix (crash at every epoch
 ## boundary + sampled intra-epoch backend ops, per policy x backend,

@@ -160,10 +160,14 @@ class BufferPool:
     :meth:`access_sequence` a replay of many; neither charges I/O — the
     caller charges a miss's read.
 
-    :attr:`on_evict` is an optional hook called with the block id
-    whenever a frame leaves the pool (LRU eviction, :meth:`invalidate`,
+    :attr:`on_evict` is an optional hook called with the block id of
+    every frame that leaves the pool (LRU eviction, :meth:`invalidate`,
     or :meth:`clear`); :class:`CachedDisk` uses it to drop a frame's
-    membership memo with the frame.
+    membership memo with the frame.  :meth:`access`, :meth:`invalidate`
+    and :meth:`clear` call it as the frame leaves; :meth:`access_sequence`
+    calls it once per victim, in eviction order, after its replay, so a
+    hook must not read the pool's residency or anything the replay
+    reads — it may only drop state kept alongside a frame.
     """
 
     def __init__(
@@ -206,43 +210,51 @@ class BufferPool:
             return True
         self.stats.misses += 1
         if install:
-            self._install(block_id)
+            if len(frames) >= self.capacity_blocks:
+                victim, _ = frames.popitem(last=False)
+                self.stats.evictions += 1
+                if self.on_evict is not None:
+                    self.on_evict(victim)
+            frames[block_id] = None
         return False
 
     def access_sequence(self, block_ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """Replay reads of ``block_ids`` in order; return the hit mask.
 
-        Exactly ``[self.access(bid) for bid in block_ids]`` — the same
-        LRU moves, hit/miss/eviction counts and :attr:`on_evict` calls —
-        in one pass over plain ints: the LRU reference-string simulation
-        of Mattson et al. (1970).  The vectorised lookup paths use it to
-        label a whole walk of block ids at once.
+        The same LRU moves, hit/miss/eviction counts, resident order and
+        :attr:`on_evict` calls as ``[self.access(bid) for bid in
+        block_ids]``, in one pass over plain ints: the LRU
+        reference-string simulation of Mattson et al. (1970).  The
+        vectorised lookup paths use it to label a whole walk of block
+        ids at once.  :attr:`on_evict` is called once per victim, in
+        eviction order, after the replay rather than during it: the hook
+        only drops state the replay never reads.
         """
         ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else block_ids
         frames = self._frames
         move = frames.move_to_end
-        install = self._install
+        pop_lru = frames.popitem
+        capacity = self.capacity_blocks
         hits: list[int] = []
+        victims: list[int] = []
         for i, bid in enumerate(ids):
             if bid in frames:
                 move(bid)
                 hits.append(i)
             else:
-                install(bid)
-        self.stats.hits += len(hits)
-        self.stats.misses += len(ids) - len(hits)
+                if len(frames) >= capacity:
+                    victims.append(pop_lru(last=False)[0])
+                frames[bid] = None
+        stats = self.stats
+        stats.hits += len(hits)
+        stats.misses += len(ids) - len(hits)
+        stats.evictions += len(victims)
+        if self.on_evict is not None:
+            for victim in victims:
+                self.on_evict(victim)
         mask = np.zeros(len(ids), dtype=bool)
         mask[hits] = True
         return mask
-
-    def _install(self, block_id: int) -> None:
-        frames = self._frames
-        while len(frames) >= self.capacity_blocks:
-            victim, _ = frames.popitem(last=False)
-            self.stats.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(victim)
-        frames[block_id] = None
 
     # -- maintenance -----------------------------------------------------------
 

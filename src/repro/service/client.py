@@ -49,7 +49,7 @@ from .admission import (
     AdmissionController,
     AdmissionQueue,
 )
-from .epochs import conflict_bounds
+from .epochs import conflict_bounds, op_codes
 from .service import DictionaryService
 from .traffic import ArrivalProcess
 
@@ -259,7 +259,7 @@ class ClosedLoopClient:
         delete must remove a key (the bulk generator only emits deletes
         of live keys), which catches routing or batching bugs in situ.
         """
-        kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
+        kinds = op_codes(kinds)
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         n = len(kinds)
         latencies: list[tuple[float, int]] = []
@@ -379,7 +379,7 @@ class OpenLoopClient:
 
     def drive(self, kinds: np.ndarray, keys: np.ndarray) -> ClientReport:
         """Simulate the whole arrival stream; account every op."""
-        kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
+        kinds = op_codes(kinds)
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         n = len(kinds)
         if len(keys) != n:

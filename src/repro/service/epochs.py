@@ -19,24 +19,29 @@ under a different kind.  The result is **conflict-aware, stable-order**
 coalescing — every per-key observable (lookup results, delete results,
 final contents) matches the program-order execution.
 
-Conflict detection is vectorized: one stable argsort by key exposes every
-adjacent same-key pair; pairs with differing kinds are the only places a
-cut can be needed (any cross-kind pair in a window implies a cross-kind
-*adjacent* pair in the key's occurrence chain between them), and the
-greedy cut pass then runs over just those pairs — O(conflicts) Python
-work for an n-op stream, plus the ``max_ops`` size cuts that bound batch
-staging memory.
+Conflict detection is vectorized.  One plain argsort by key groups each
+key's occurrences; a key is touched by two kinds exactly when some
+adjacent pair in its group differs in kind, whatever the order inside
+the group, so a stream where no key is needs no further sort.
+Otherwise one integer sort puts every group's positions in ascending
+order, each key's occurrence chain.  Adjacent pairs of a chain with
+differing kinds are the only places a cut can be needed (any cross-kind
+pair in a window implies a cross-kind *adjacent* pair in the key's
+occurrence chain between them), and the greedy cut pass then runs over
+just those pairs — O(conflicts) Python work for an n-op stream, plus the
+``max_ops`` size cuts that bound batch staging memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..workloads.trace import OP_DELETE, OP_INSERT, OP_LOOKUP
 
-__all__ = ["Epoch", "build_epochs"]
+__all__ = ["Epoch", "build_epochs", "op_codes"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,22 @@ class Epoch:
         return self.stop - self.start
 
 
+def op_codes(kinds: np.ndarray | Sequence[int]) -> np.ndarray:
+    """The caller's op codes as a contiguous ``uint8`` array, checked
+    before they are narrowed.
+
+    Raises :class:`ValueError` naming the first code that is not
+    ``OP_INSERT``, ``OP_LOOKUP`` or ``OP_DELETE``: a cast first would
+    run 258 as ``OP_DELETE`` (it wraps) and raise ``OverflowError`` on
+    a list holding -1.
+    """
+    arr = np.asarray(kinds)
+    bad = (arr != OP_INSERT) & (arr != OP_LOOKUP) & (arr != OP_DELETE)
+    if bad.any():
+        raise ValueError(f"unknown op code {arr[bad][0].item()!r} in request stream")
+    return np.ascontiguousarray(arr, dtype=np.uint8)
+
+
 def conflict_bounds(
     kinds: np.ndarray, keys: np.ndarray, *, max_ops: int
 ) -> list[int]:
@@ -73,16 +94,24 @@ def conflict_bounds(
     n = len(kinds)
     if n == 0:
         return [0]
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     sorted_keys = keys[order]
+    sorted_kinds = kinds[order]
     same = sorted_keys[1:] == sorted_keys[:-1]
-    prev_idx = order[:-1][same]
-    cur_idx = order[1:][same]
-    diff = kinds[prev_idx] != kinds[cur_idx]
-    cur_conf = cur_idx[diff]
-    prev_conf = prev_idx[diff]
-    by_cur = np.argsort(cur_conf, kind="stable")
-    pairs = zip(cur_conf[by_cur].tolist(), prev_conf[by_cur].tolist())
+    pairs: Iterable[tuple[int, int]] = ()
+    if (same & (sorted_kinds[1:] != sorted_kinds[:-1])).any():
+        # Each key's occurrences in ascending position, the order a
+        # stable argsort gives: sort the positions with the key's group
+        # number as the major part, which leaves every group in place.
+        group = np.cumsum(np.r_[0, ~same]) * n
+        order = np.sort(group + order) - group
+        prev_idx = order[:-1][same]
+        cur_idx = order[1:][same]
+        diff = kinds[prev_idx] != kinds[cur_idx]
+        cur_conf = cur_idx[diff]
+        prev_conf = prev_idx[diff]
+        by_cur = np.argsort(cur_conf, kind="stable")
+        pairs = zip(cur_conf[by_cur].tolist(), prev_conf[by_cur].tolist())
 
     bounds = [0]
     start = 0
@@ -109,15 +138,12 @@ def build_epochs(
     """Coalesce an encoded request stream into conflict-free epochs."""
     if max_ops <= 0:
         raise ValueError(f"max_ops must be positive, got {max_ops}")
-    kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
+    kinds = op_codes(kinds)
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     if len(kinds) != len(keys):
         raise ValueError(
             f"kinds and keys must align: {len(kinds)} vs {len(keys)}"
         )
-    bad = ~np.isin(kinds, (OP_INSERT, OP_LOOKUP, OP_DELETE))
-    if bad.any():
-        raise ValueError(f"unknown op code {int(kinds[bad][0])} in request stream")
     bounds = conflict_bounds(kinds, keys, max_ops=max_ops)
     epochs: list[Epoch] = []
     for lo, hi in zip(bounds, bounds[1:]):

@@ -47,6 +47,7 @@ import numpy as np
 from ..em.backends import StorageBackend
 from ..em.block import Block
 from ..em.errors import RetryExhausted, SimulatedCrash, StorageFault
+from .epochs import op_codes
 from .journal import EpochJournal
 from .recovery import recover, snapshot_service
 from .service import DictionaryService
@@ -652,7 +653,7 @@ def run_crash_matrix(
     within the retry budget) to prove healing leaves the accounting
     untouched.
     """
-    kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
+    kinds = op_codes(kinds)
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     policy = retry_policy if retry_policy is not None else RetryPolicy()
     if fault_burst > policy.max_retries:
@@ -824,7 +825,7 @@ def run_overload_chaos(
     from .client import OpenLoopClient
     from .traffic import PoissonArrivals
 
-    kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
+    kinds = op_codes(kinds)
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     policy_r = retry_policy if retry_policy is not None else RetryPolicy()
     if fault_burst <= policy_r.max_retries:

@@ -54,7 +54,7 @@ from ..tables.batching import partition_positions
 from ..tables.rebalance import Rebalancer, SlotMove
 from ..tables.sharded import ShardFactory, ShardSet
 from ..workloads.trace import OP_DELETE, OP_INSERT, OP_LOOKUP, Op, encode_ops
-from .epochs import Epoch, build_epochs
+from .epochs import Epoch, build_epochs, op_codes
 from .journal import EpochJournal
 
 __all__ = [
@@ -348,7 +348,7 @@ class DictionaryService(ShardSet):
         keys: np.ndarray | Sequence[int],
     ) -> ServiceRun:
         """Execute an encoded request stream; results in arrival order."""
-        kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
+        kinds = op_codes(kinds)
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         n = len(kinds)
         lookup_found = np.zeros(n, dtype=bool)
@@ -430,7 +430,7 @@ class DictionaryService(ShardSet):
                 f"journal record [{start}, {stop}) does not match "
                 f"{len(kinds)} replayed ops"
             )
-        kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
+        kinds = op_codes(kinds)
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         self._trace_base = start
         n = len(kinds)
@@ -527,37 +527,36 @@ class DictionaryService(ShardSet):
         """Stable shard split of the epoch: ``{shard: [ins, dels, dpos,
         looks, lpos]}``, ``None`` where a shard has no op of a kind.
 
-        One ``hash_array`` call, slot-map gather and stable partition
-        over the epoch's keys, concatenated insert, delete, lookup, so
-        each shard's ascending positions split into its three in-order
-        subsequences; the static map reproduces ``hash % shards``.  With
-        the rebalancer on, the slot ids are tallied into the epoch's
-        per-slot op counts, the load signal of :meth:`_maybe_rebalance`.
+        One ``hash_array`` call and slot-map gather over the epoch's
+        keys, concatenated insert, delete, lookup, then one stable
+        :func:`partition_positions` over the code ``shard * 3 + kind``
+        (insert 0, delete 1, lookup 2): its groups, in ascending code
+        order, are each shard's three in-order subsequences.  The static
+        map reproduces ``hash % shards``.  With the rebalancer on, the
+        slot ids are tallied into the epoch's per-slot op counts, the
+        load signal of :meth:`_maybe_rebalance`.
         """
         keys = np.concatenate([epoch.insert_keys, epoch.delete_keys, epoch.lookup_keys])
         if not len(keys):
             return {}
         n_ins = len(epoch.insert_keys)
+        n_mut = n_ins + len(epoch.delete_keys)
         pos = np.concatenate([np.zeros(n_ins, int), epoch.delete_pos, epoch.lookup_pos])
-        cuts = [n_ins, n_ins + len(epoch.delete_keys)]
-        if self.shards == 1:
-            parts = [(0, np.arange(len(keys)))]
-        else:
-            slots = self.directory.slots_of(keys)
-            if self.rebalancer is not None:
-                self._epoch_slot_ops += np.bincount(
-                    slots, minlength=self.directory.slots
-                )
-            parts = partition_positions(self.directory.slot_map[slots])
+        slots = self.directory.slots_of(keys)
+        if self.rebalancer is not None:
+            self._epoch_slot_ops += np.bincount(slots, minlength=self.directory.slots)
+        codes = self.directory.slot_map[slots]
+        codes *= 3
+        codes[n_ins:n_mut] += 1
+        codes[n_mut:] += 2
         work: dict[int, list] = {}
-        for shard, group in parts:
-            ins, dels, looks = np.split(group, np.searchsorted(group, cuts))
-            work[shard] = [
-                values[at] if len(at) else None
-                for values, at in (
-                    (keys, ins), (keys, dels), (pos, dels), (keys, looks), (pos, looks)
-                )
-            ]
+        for code, at in partition_positions(codes):
+            shard, kind = divmod(code, 3)
+            batch = work.setdefault(shard, [None] * 5)
+            first = (0, 1, 3)[kind]  # ins, dels + dpos, looks + lpos
+            batch[first] = keys[at]
+            if kind:
+                batch[first + 1] = pos[at]
         return work
 
     def _merge_ledgers(self) -> int:

@@ -47,6 +47,8 @@ from repro.service import (
     build_epochs,
     make_executor,
     recover,
+    run_crash_matrix,
+    run_overload_chaos,
 )
 from repro.service.client import _weighted_percentile
 from repro.tables import ChainedHashTable, ShardedDictionary
@@ -165,6 +167,48 @@ def test_epochs_validation():
     with pytest.raises(ValueError, match="op code"):
         build_epochs([7], [1])
     assert build_epochs([], []) == []
+
+
+def test_wrapping_op_codes_are_rejected_not_run():
+    # 258 and 257 narrow to OP_DELETE and OP_LOOKUP as uint8; they must
+    # be refused before anything runs, not delete key 5.
+    ctx = make_context(b=32, m=512, backend="arena", hard_memory=False)
+    with DictionaryService(ctx, _chained, shards=2) as svc:
+        svc.run(np.array([OP_INSERT, OP_INSERT]), np.array([5, 6], dtype=np.uint64))
+        with pytest.raises(ValueError, match="op code 258"):
+            svc.run(np.array([258, 257]), np.array([5, 6], dtype=np.uint64))
+        assert len(svc) == 2 and svc.epochs_run == 1
+        found = svc.run(np.array([OP_LOOKUP, OP_LOOKUP]), np.array([5, 6], dtype=np.uint64))
+        assert found.lookup_found.tolist() == [True, True]
+
+
+@pytest.mark.parametrize(
+    "kinds, named",
+    [
+        (np.array([OP_LOOKUP, 256, 257, 258], dtype=np.int64), "256"),
+        ([300], "300"),
+        ([-1], "-1"),
+    ],
+)
+def test_every_entry_point_rejects_unknown_op_codes(kinds, named):
+    keys = np.arange(1, len(kinds) + 1, dtype=np.uint64)
+    ctx = make_context(b=32, m=512, backend="arena", hard_memory=False)
+    with DictionaryService(ctx, _chained, shards=2) as svc:
+        entry_points = [
+            lambda: build_epochs(kinds, keys),
+            lambda: svc.run(kinds, keys),
+            lambda: svc.replay_epoch(0, len(kinds), kinds, keys),
+            lambda: ClosedLoopClient(svc).drive(kinds, keys),
+            lambda: OpenLoopClient(svc, PoissonArrivals(1000.0, seed=1)).drive(
+                kinds, keys
+            ),
+            lambda: run_crash_matrix(lambda: svc, kinds, keys, window=4),
+            lambda: run_overload_chaos(lambda: svc, kinds, keys, service_rate=1e3),
+        ]
+        for call in entry_points:
+            with pytest.raises(ValueError, match=f"unknown op code {named}\\b"):
+                call()
+        assert len(svc) == 0 and svc.epochs_run == 0
 
 
 # -- program-order equivalence ----------------------------------------------
