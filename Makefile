@@ -68,7 +68,7 @@ overload-test:
 	$(PY) -m pytest tests/test_traffic.py tests/test_overload.py -q
 
 ## Observability only: crc-framed trace scans (torn tails, corruption),
-## span-tree determinism (virtual clock, executor-invariant), the
+## span-tree determinism (virtual clock, shard-order-invariant), the
 ## metrics registry (counters/histograms/Prometheus dump, snapshot
 ## round-trip), the relabelling contract (obs on == obs off, trace sums
 ## == ledger), and the trace-summary CLI.  Also part of `make test`.
@@ -95,9 +95,9 @@ cache-bench:
 	    --benchmark-only -s -q --benchmark-json=BENCH_cache.json
 
 ## Service axis only: the 70/25/5 mixed-workload closed-loop rows
-## (throughput + p50/p99 latency, serial-vs-threads determinism, the
-## sustained-rate gate, and the journal-overhead leg: durable-arena +
-## write-ahead journal vs in-memory arena).  Writes BENCH_service.json
+## (throughput + p50/p99 latency, the sustained-rate gate, and the
+## journal-overhead leg: durable-arena + write-ahead journal vs
+## in-memory arena).  Writes BENCH_service.json
 ## so a targeted run never clobbers the full trajectory file.
 service-bench:
 	$(PY) -m pytest benchmarks/bench_throughput.py::test_service_mixed_throughput \

@@ -383,7 +383,6 @@ def cmd_serve(args) -> int:
         ctx,
         factories[args.table],
         shards=args.shards,
-        executor=args.executor,
         epoch_ops=args.epoch_ops,
         journal=journal,
         slots=args.slots,
@@ -414,8 +413,7 @@ def cmd_serve(args) -> int:
         else:
             report = ClosedLoopClient(svc, window=args.window).drive(kinds, keys)
         print(format_rows([dict(report.row(), arrival=traffic.arrival,
-                                executor=args.executor, shards=args.shards,
-                                backend=args.backend,
+                                shards=args.shards, backend=args.backend,
                                 key_dist=args.key_dist)]))
         if svc.rebalancer is not None:
             print(f"\nrebalance: {svc.migrations_applied} migrations, "
@@ -587,9 +585,8 @@ def cmd_recover(args) -> int:
     from .service import recover
 
     try:
-        rep = recover(args.snapshot, args.journal, executor=args.executor,
-                      resume_journal=False)
-    except FileNotFoundError as exc:
+        rep = recover(args.snapshot, args.journal, resume_journal=False)
+    except (OSError, ValueError) as exc:
         print(f"recover: {exc}", file=sys.stderr)
         return 2
     svc = rep.service
@@ -657,12 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0.25, 0.60, 0.10, 0.05],
         metavar=("INS", "HIT", "MISS", "DEL"),
         help="op-mix weights (insert, hit-lookup, miss-lookup, delete)",
-    )
-    p.add_argument(
-        "--executor",
-        choices=["serial", "threads"],
-        default="serial",
-        help="shard executor (accounting is executor-invariant)",
     )
     p.add_argument("--epoch-ops", type=int, default=8192,
                    help="max ops coalesced into one epoch")
@@ -772,7 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="snapshot file written by `serve --snapshot`")
     p.add_argument("--journal", default=None, metavar="PATH",
                    help="journal file written by `serve --journal`")
-    p.add_argument("--executor", choices=["serial", "threads"], default="serial")
     p.set_defaults(func=cmd_recover)
     return parser
 

@@ -6,9 +6,9 @@ the *same* per-shard ledger deltas it merges at epoch close (the cache
 ledger's ``delta_since``/``absorb`` path) into named metrics, so the
 registry inherits the ledgers' guarantees for free:
 
-* **executor-invariant** — deltas are folded by the coordinator in
-  ascending shard order, never from worker threads, so ``serial`` and
-  ``threads`` runs produce identical registries;
+* **shard-order-invariant** — deltas are folded by the coordinator in
+  ascending shard order, never from a shard's own work, so runs that
+  execute the shards in any order produce identical registries;
 * **deterministic** — only charged quantities and virtual-clock-derived
   values are recorded (no wall-time histograms), so two same-seed runs
   compare equal;

@@ -27,7 +27,8 @@ contract ``tests/test_obs.py`` pins).
 virtual clock — deterministic) and ``wall``/``wall_ms`` (wall-clock
 milliseconds — not).  :func:`strip_wall` removes the wall fields, and
 the determinism contract is: same seed + virtual clock ⇒ traces
-byte-identical modulo wall fields, across executors and journal on/off.
+byte-identical modulo wall fields, whatever order the shards run in,
+journal on or off.
 
 **Framing.**  One record per line: 8 hex chars of crc32 over the
 compact sorted-key JSON payload, a space, the payload.  Like the epoch

@@ -1,13 +1,13 @@
-"""The dictionary service layer: mixed-op epochs over concurrent shards.
+"""The dictionary service layer: mixed-op epochs over private shard machines.
 
 Turns the reproduction's dictionaries into a servable system:
 
 * :mod:`repro.service.epochs` — conflict-aware coalescing of interleaved
   insert/lookup/delete streams into vectorized epochs;
 * :mod:`repro.service.service` — :class:`DictionaryService`, executing
-  each epoch over N private shard machines through a pluggable
-  ``serial`` / ``threads`` executor, with per-shard I/O ledgers merged
-  at epoch close (parallel runs bit-identical to serial);
+  each epoch over N private shard machines, with per-shard I/O ledgers
+  merged at epoch close (bit-identical whatever order the shards run
+  in);
 * :mod:`repro.service.client` — closed-loop (capacity) and open-loop
   (queueing-inclusive latency under offered load) client simulators;
 * :mod:`repro.service.traffic` — seeded virtual-clock arrival processes
@@ -25,7 +25,7 @@ Turns the reproduction's dictionaries into a servable system:
   tracing (``DictionaryService(obs=...)``), the always-on
   ``service.metrics()`` registry, and per-epoch time-series export.
 
-See ``src/repro/service/README.md`` for the epoch/executor, durability,
+See ``src/repro/service/README.md`` for the epoch/shard, durability,
 and overload/SLO guarantees.
 """
 
@@ -65,15 +65,7 @@ from .faults import (
 )
 from .journal import EpochJournal, JournalRecord, JournalScan
 from .recovery import RecoveryReport, recover, restore_service, snapshot_service
-from .service import (
-    EXECUTORS,
-    DictionaryService,
-    EpochReport,
-    SerialExecutor,
-    ServiceRun,
-    ThreadExecutor,
-    make_executor,
-)
+from .service import DictionaryService, EpochReport, SerialExecutor, ServiceRun
 from .traffic import (
     ARRIVALS,
     ArrivalProcess,
@@ -139,7 +131,4 @@ __all__ = [
     "EpochReport",
     "ServiceRun",
     "SerialExecutor",
-    "ThreadExecutor",
-    "EXECUTORS",
-    "make_executor",
 ]

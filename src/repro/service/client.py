@@ -331,7 +331,7 @@ class OpenLoopClient:
     Parameters
     ----------
     service:
-        The service under load (serial executor for full determinism).
+        The service under load.
     arrivals:
         Seeded :class:`~repro.service.traffic.ArrivalProcess`.
     controller:

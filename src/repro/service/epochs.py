@@ -41,7 +41,7 @@ import numpy as np
 
 from ..workloads.trace import OP_DELETE, OP_INSERT, OP_LOOKUP
 
-__all__ = ["Epoch", "build_epochs", "op_codes"]
+__all__ = ["Epoch", "build_epochs", "op_codes", "window_epoch"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class Epoch:
 
     Keys are regrouped per kind in stream order; ``lookup_pos`` /
     ``delete_pos`` are the absolute stream positions of each batched op,
-    so executors can scatter results back to arrival order.
+    so the service can scatter results back to arrival order.
     """
 
     start: int
@@ -145,20 +145,26 @@ def build_epochs(
             f"kinds and keys must align: {len(kinds)} vs {len(keys)}"
         )
     bounds = conflict_bounds(kinds, keys, max_ops=max_ops)
-    epochs: list[Epoch] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        k = kinds[lo:hi]
-        lookup_pos = np.flatnonzero(k == OP_LOOKUP) + lo
-        delete_pos = np.flatnonzero(k == OP_DELETE) + lo
-        epochs.append(
-            Epoch(
-                start=lo,
-                stop=hi,
-                insert_keys=keys[lo:hi][k == OP_INSERT],
-                lookup_keys=keys[lookup_pos],
-                lookup_pos=lookup_pos,
-                delete_keys=keys[delete_pos],
-                delete_pos=delete_pos,
-            )
-        )
-    return epochs
+    return [window_epoch(kinds, keys, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def window_epoch(kinds: np.ndarray, keys: np.ndarray, lo: int, hi: int) -> Epoch:
+    """The epoch of the window ``[lo, hi)`` of an encoded stream.
+
+    The caller vouches that no key in the window is touched by two
+    kinds: :func:`build_epochs` cuts its windows so, and a journal
+    replay re-runs a window the live run cut.  ``kinds`` must already
+    be :func:`op_codes`.
+    """
+    k = kinds[lo:hi]
+    lookup_pos = np.flatnonzero(k == OP_LOOKUP) + lo
+    delete_pos = np.flatnonzero(k == OP_DELETE) + lo
+    return Epoch(
+        start=lo,
+        stop=hi,
+        insert_keys=keys[lo:hi][k == OP_INSERT],
+        lookup_keys=keys[lookup_pos],
+        lookup_pos=lookup_pos,
+        delete_keys=keys[delete_pos],
+        delete_pos=delete_pos,
+    )

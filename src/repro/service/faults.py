@@ -81,9 +81,9 @@ class FaultClock:
     """A monotone counter of faultable backend primitives.
 
     Shared by every shard's :class:`FaultInjectingBackend` so a single
-    op index identifies one global point in the execution — which is
-    only deterministic under the ``serial`` executor (the chaos harness
-    requires it).
+    op index identifies one global point in the execution — deterministic
+    because the service runs its shards one after another in ascending
+    order.
     """
 
     def __init__(self) -> None:
@@ -645,13 +645,12 @@ def run_crash_matrix(
 ) -> ChaosReport:
     """Crash everywhere, recover every time, assert bit-identity.
 
-    ``make_service`` must build a *fresh, identical, serial-executor*
-    service on every call (determinism of the comparison depends on
-    it).  The matrix covers every epoch's journal append and commit
-    boundary plus ``sample_ops`` seeded intra-epoch backend-op indices;
-    every leg also carries seeded transient read/write faults (bursts
-    within the retry budget) to prove healing leaves the accounting
-    untouched.
+    ``make_service`` must build a *fresh, identical* service on every
+    call (determinism of the comparison depends on it).  The matrix
+    covers every epoch's journal append and commit boundary plus
+    ``sample_ops`` seeded intra-epoch backend-op indices; every leg also
+    carries seeded transient read/write faults (bursts within the retry
+    budget) to prove healing leaves the accounting untouched.
     """
     kinds = op_codes(kinds)
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
@@ -734,7 +733,7 @@ def run_crash_matrix(
             svc.close()
             del svc  # the dead process: never consulted again
 
-            rep = recover(snap, jpath, executor="serial")
+            rep = recover(snap, jpath)
             _drive(rep.service, kinds, keys, window, start=rep.committed_through)
             got = _observe(rep.service, probe_keys)
             _compare(golden, got, point)

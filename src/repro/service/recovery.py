@@ -41,7 +41,7 @@ from ..em.cache import CacheStats
 from ..obs import MetricsRegistry
 from ..tables.sharded import SlotDirectory
 from .journal import EpochJournal
-from .service import DictionaryService, make_executor
+from .service import DictionaryService, SerialExecutor
 
 __all__ = [
     "RecoveryReport",
@@ -59,8 +59,8 @@ def snapshot_service(service: DictionaryService, path: str | Path) -> None:
     Call between :meth:`DictionaryService.run` calls (or between epochs
     of a window-by-window driver): that is the commit boundary at which
     per-shard ledgers have merged and no staging state is in flight.
-    The executor and journal handles are deliberately excluded — they
-    are reattached on restore.
+    The journal handle is deliberately excluded — :func:`recover`
+    reattaches it.
     """
     tables = service.shard_tables()
     state = {
@@ -76,7 +76,8 @@ def snapshot_service(service: DictionaryService, path: str | Path) -> None:
         "cache": service.cache,
         "epochs_run": service.epochs_run,
         "ops_committed": service.ops_committed,
-        "executor": getattr(service.executor, "name", "serial"),
+        # A field of format version 1; restore ignores it.
+        "executor": "serial",
         "directory": service.directory,
         "rebalancer": service.rebalancer,
         "migrated_slots": service.migrated_slots,
@@ -101,26 +102,29 @@ def snapshot_service(service: DictionaryService, path: str | Path) -> None:
         raise
 
 
-def restore_service(
-    path: str | Path, *, executor: str | None = None
-) -> DictionaryService:
+def restore_service(path: str | Path) -> DictionaryService:
     """Rebuild a service from a snapshot file.
 
-    ``executor`` overrides the snapshotted executor name (e.g. restore a
-    ``threads`` service as ``serial`` for debugging).  The restored
-    service has no journal attached; :func:`recover` reattaches one.
+    The restored service runs on the :class:`SerialExecutor`, whatever
+    executor name the snapshot records, and has no journal attached;
+    :func:`recover` reattaches one.  Raises :class:`ValueError` naming
+    ``path`` when the file does not unpickle or is not a version-1
+    snapshot.
     """
     with open(path, "rb") as fh:
-        state = pickle.load(fh)
-    if state.get("version") != _SNAPSHOT_VERSION:
-        raise ValueError(
-            f"unsupported snapshot version {state.get('version')!r} in {path}"
-        )
+        try:
+            state = pickle.load(fh)
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+                IndexError, ValueError) as exc:
+            raise ValueError(f"{path} is not a service snapshot: {exc}") from exc
+    version = state.get("version") if isinstance(state, dict) else None
+    if version != _SNAPSHOT_VERSION:
+        raise ValueError(f"unsupported snapshot version {version!r} in {path}")
     svc = DictionaryService.__new__(DictionaryService)
     svc.ctx = state["ctx"]
     svc.epoch_ops = state["epoch_ops"]
     svc.name = state["name"]
-    svc.executor = make_executor(executor or state["executor"])
+    svc.executor = SerialExecutor()
     svc.ledger = state["ledger"]
     # Older snapshots predate the cache ledger; restore them uncached.
     svc.cache = state.get("cache", CacheStats())
@@ -174,7 +178,6 @@ def recover(
     snapshot_path: str | Path,
     journal_path: str | Path | None = None,
     *,
-    executor: str | None = None,
     resume_journal: bool = True,
 ) -> RecoveryReport:
     """Snapshot + committed-journal-suffix recovery.
@@ -184,7 +187,7 @@ def recover(
     its committed prefix, and (by default) reattaches a live journal so
     the resumed service keeps the same durability guarantee.
     """
-    svc = restore_service(snapshot_path, executor=executor)
+    svc = restore_service(snapshot_path)
     replayed = replayed_ops = discarded = 0
     if journal_path is not None:
         scan = EpochJournal.scan(journal_path)

@@ -1,32 +1,30 @@
-"""The concurrent dictionary service: epochs × shards × executors.
+"""The dictionary service: epochs × shards.
 
 :class:`DictionaryService` is the layer that turns the reproduction's
 dictionaries into a *servable system*: it accepts interleaved
 insert/lookup/delete request streams, coalesces them into conflict-free
 **epochs** (:mod:`repro.service.epochs`), partitions each epoch by shard
 with the same vectorized stable shard-of-key routing the
-:class:`~repro.tables.sharded.ShardedDictionary` uses, and executes the
-per-shard work through a pluggable **executor**:
+:class:`~repro.tables.sharded.ShardedDictionary` uses, and runs the
+per-shard work through its executor, :class:`SerialExecutor`: shards
+one after another, ascending shard order.
 
-* ``"serial"`` — shards run one after another, ascending shard order;
-* ``"threads"`` — shards run concurrently on a thread pool.
-
-Concurrency is safe *and deterministic* because the service is a
-:class:`~repro.tables.sharded.ShardSet`, as the sharded router is: every
-shard is a fully private machine with its own strided-namespace
-:class:`~repro.em.disk.Disk`, its own ``m``-word
+Execution is *deterministic whatever the shard order* because the
+service is a :class:`~repro.tables.sharded.ShardSet`, as the sharded
+router is: every shard is a fully private machine with its own
+strided-namespace :class:`~repro.em.disk.Disk`, its own ``m``-word
 :class:`~repro.em.memory.MemoryBudget` and its own
 :class:`~repro.em.iostats.IOStats` ledger.  A shard's charges depend
 only on its own program-order request subsequence, so per-shard ledgers,
-disks, layouts and memory peaks are bit-identical whatever the executor.
-At epoch close the shard set's fold walks the shards in ascending order
-and adds each shard's I/O and cache deltas since the last fold to the
-cluster :attr:`~DictionaryService.ledger` and
+disks, layouts and memory peaks do not depend on the order the shards
+run in.  At epoch close the shard set's fold walks the shards in
+ascending order and adds each shard's I/O and cache deltas since the
+last fold to the cluster :attr:`~DictionaryService.ledger` and
 :attr:`~DictionaryService.cache` — pure counter addition, so the merged
-totals are executor-invariant too; the cluster metric counters take the
+totals are order-invariant too; the cluster metric counters take the
 cluster ledgers' own before/after difference.  The determinism suite
-(``tests/test_service.py``) pins serial-vs-threads equality of all of
-it.
+(``tests/test_service.py``) pins all of it against an executor that
+runs each epoch's shards in descending order.
 
 Within an epoch each shard executes its batches in the fixed kind order
 **insert → delete → lookup**; the epoch builder guarantees no key
@@ -37,7 +35,6 @@ program order (see :mod:`repro.service.epochs`).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -53,8 +50,8 @@ from ..obs import MetricsRegistry, TraceRecorder
 from ..tables.batching import partition_positions
 from ..tables.rebalance import Rebalancer, SlotMove
 from ..tables.sharded import ShardFactory, ShardSet
-from ..workloads.trace import OP_DELETE, OP_INSERT, OP_LOOKUP, Op, encode_ops
-from .epochs import Epoch, build_epochs, op_codes
+from ..workloads.trace import Op, encode_ops
+from .epochs import Epoch, build_epochs, op_codes, window_epoch
 from .journal import EpochJournal
 
 __all__ = [
@@ -62,88 +59,25 @@ __all__ = [
     "EpochReport",
     "ServiceRun",
     "SerialExecutor",
-    "ThreadExecutor",
-    "EXECUTORS",
-    "make_executor",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Executors
+# The executor
 # ---------------------------------------------------------------------------
 
 
 class SerialExecutor:
-    """Runs shard thunks one after another, ascending shard order."""
+    """Runs an epoch's shard thunks one after another, ascending shard
+    order, and returns their results in thunk order.
+
+    The service's one shard-run seam: ``svc.executor.run(thunks)``.
+    """
 
     name = "serial"
 
     def run(self, thunks: Sequence[Callable[[], object]]) -> list[object]:
         return [thunk() for thunk in thunks]
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
-class ThreadExecutor:
-    """Runs shard thunks concurrently on a persistent thread pool.
-
-    Shards own disjoint state (disk, memory budget, I/O ledger), so the
-    only cross-thread contention is the interpreter lock — results and
-    accounting are bit-identical to :class:`SerialExecutor` by
-    construction, which the determinism tests assert.
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max_workers
-        self._pool: ThreadPoolExecutor | None = None
-
-    def run(self, thunks: Sequence[Callable[[], object]]) -> list[object]:
-        if len(thunks) <= 1:
-            return [thunk() for thunk in thunks]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="repro-shard"
-            )
-        futures = [self._pool.submit(thunk) for thunk in thunks]
-        # Wait for *every* future before raising: abandoning in-flight
-        # shard work on the first failure would leave threads mutating
-        # shard state behind the caller's back and make the pool's next
-        # run() racy.  First failure in submission (= shard) order wins,
-        # deterministically; the pool itself stays reusable.
-        results, first_exc = [], None
-        for f in futures:
-            try:
-                results.append(f.result())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if first_exc is None:
-                    first_exc = exc
-        if first_exc is not None:
-            raise first_exc
-        return results
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-#: Executor registry, keyed by the name the CLI/bench ``--executor``
-#: flags use.
-EXECUTORS = {"serial": SerialExecutor, "threads": ThreadExecutor}
-
-
-def make_executor(kind: str, **kwargs):
-    """Build an executor by registry name."""
-    try:
-        cls = EXECUTORS[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown executor {kind!r}; choose from {sorted(EXECUTORS)}"
-        ) from None
-    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +131,7 @@ class ServiceRun:
 
 
 class DictionaryService(ShardSet):
-    """A dictionary served over N shard machines by a pluggable executor.
+    """A dictionary served over N shard machines, one epoch at a time.
 
     The shard machines, their directory and the aggregates over them
     are the :class:`~repro.tables.sharded.ShardSet`'s; the service adds
@@ -215,8 +149,6 @@ class DictionaryService(ShardSet):
         ``TableFactory`` shape).
     shards:
         Number of shard machines ``N >= 1``.
-    executor:
-        ``"serial"``, ``"threads"``, or an executor instance.
     epoch_ops:
         Maximum ops coalesced into one epoch (bounds staging memory).
     journal:
@@ -258,7 +190,6 @@ class DictionaryService(ShardSet):
         shard_factory: ShardFactory,
         *,
         shards: int = 1,
-        executor: str | SerialExecutor | ThreadExecutor = "serial",
         epoch_ops: int = 8192,
         journal: EpochJournal | None = None,
         slots: int | None = None,
@@ -276,7 +207,7 @@ class DictionaryService(ShardSet):
             self.rebalancer = Rebalancer(rebalance)
         else:
             self.rebalancer = rebalance or None
-        self.executor = make_executor(executor) if isinstance(executor, str) else executor
+        self.executor = SerialExecutor()
         #: Cluster I/O ledger: per-shard deltas folded in at epoch close,
         #: ascending shard order.
         self.ledger = IOStats(policy=ctx.policy)
@@ -285,7 +216,7 @@ class DictionaryService(ShardSet):
         #: ledger at epoch close.
         self.cache = CacheStats()
         #: Always-on cluster metrics; fed the same ledger deltas the
-        #: epoch-close merge folds, so it is executor-invariant and
+        #: epoch-close merge folds, so it is shard-order-invariant and
         #: rides the snapshot/restore path.  See :meth:`metrics`.
         self._metrics = MetricsRegistry()
         if isinstance(obs, TraceRecorder):
@@ -322,7 +253,7 @@ class DictionaryService(ShardSet):
                 shards=shards,
                 epoch_ops=epoch_ops,
                 slots=self.directory.slots,
-                executor=getattr(self.executor, "name", "?"),
+                executor=self.executor.name,
                 combine_rmw=bool(ctx.policy.combine_rmw),
                 io=self.setup_io,
                 **describe,
@@ -434,19 +365,10 @@ class DictionaryService(ShardSet):
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         self._trace_base = start
         n = len(kinds)
-        lookup_pos = np.flatnonzero(kinds == OP_LOOKUP)
-        delete_pos = np.flatnonzero(kinds == OP_DELETE)
-        epoch = Epoch(
-            start=0,
-            stop=n,
-            insert_keys=keys[kinds == OP_INSERT],
-            lookup_keys=keys[lookup_pos],
-            lookup_pos=lookup_pos,
-            delete_keys=keys[delete_pos],
-            delete_pos=delete_pos,
-        )
         report = self._run_epoch(
-            epoch, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+            window_epoch(kinds, keys, 0, n),
+            np.zeros(n, dtype=bool),
+            np.zeros(n, dtype=bool),
         )
         self.ops_committed = stop
         # Replay feeds the rebalancer the same observations the live run
@@ -486,7 +408,7 @@ class DictionaryService(ShardSet):
         if self.recorder is not None:
             # Wrap thunks with per-batch wall timing only when tracing —
             # the obs-off hot path is untouched.  Each wrapper writes its
-            # own slot, so the timing is thread-safe under any executor.
+            # own slot, whatever order the executor runs them in.
             timings = [0.0] * len(thunks)
             thunks = [
                 self._timed_thunk(thunk, timings, j)
@@ -612,7 +534,7 @@ class DictionaryService(ShardSet):
 
         Only deterministic quantities: op counts, charged I/O, and the
         epoch's shard imbalance.  No wall-time series, so two same-seed
-        runs — under any executor — produce equal registries.
+        runs — in any shard order — produce equal registries.
         """
         metrics = self._metrics
         metrics.inc("repro_epochs_total")
@@ -643,8 +565,8 @@ class DictionaryService(ShardSet):
     ) -> None:
         """One ``epoch`` span (shard batches embedded) + eviction events.
 
-        Emitted by the coordinator after the ledger merge, never from
-        worker threads, so record order is executor-invariant.
+        Emitted by the coordinator after the ledger merge, never from a
+        shard thunk, so record order does not depend on shard order.
         """
         deltas = self._last_epoch_shard_deltas
         shards = []
@@ -789,8 +711,7 @@ class DictionaryService(ShardSet):
         return self.cache.snapshot()
 
     def close(self) -> None:
-        """Release executor + trace-file resources (idempotent)."""
-        self.executor.close()
+        """Release the trace file (idempotent)."""
         if self.recorder is not None:
             self.recorder.close()
 
@@ -803,6 +724,6 @@ class DictionaryService(ShardSet):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"{self.name}(shards={self.shards}, "
-            f"executor={getattr(self.executor, 'name', self.executor)!r}, "
+            f"executor={self.executor.name!r}, "
             f"epoch_ops={self.epoch_ops}, n={len(self)})"
         )

@@ -109,28 +109,18 @@ def partition_positions(bucket_idx: np.ndarray) -> list[tuple[int, np.ndarray]]:
     ]
 
 
-#: Query count from which :func:`membership` searches its queries in
-#: sorted order.  Sorted needles walk the sorted values front to back,
-#: which pays for the argsort and the scatter back from about this many
-#: queries on: against 8,192 to 300,000 values, 512 sorted queries won
-#: 3–28 us and 256 lost 5–7 us (against 1,024 values, 512 lost 10 us).
-SORTED_NEEDLES_FROM = 512
-
-
 def membership(queries: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Vectorised set membership: is each query present in ``values``?
 
     Sort-plus-binary-search, cheaper than ``np.isin`` (which
-    deduplicates both sides) for the batch-lookup workloads here.  From
-    :data:`SORTED_NEEDLES_FROM` queries on, the queries are searched in
-    sorted order and the answers scattered back to arrival order.
+    deduplicates both sides) for the batch-lookup workloads here.  The
+    queries are searched in sorted order, so the needles walk the sorted
+    values front to back, and the answers are scattered back to arrival
+    order.
     """
     if values.size == 0:
         return np.zeros(len(queries), dtype=bool)
     sv = np.sort(values)
-    if len(queries) < SORTED_NEEDLES_FROM:
-        pos = np.searchsorted(sv, queries)
-        return sv[np.minimum(pos, sv.size - 1)] == queries
     order = np.argsort(queries)
     needles = queries[order]
     pos = np.searchsorted(sv, needles)

@@ -713,17 +713,23 @@ class TestShardedAndService:
         from repro.workloads.generators import UniformKeys
         from repro.workloads.trace import BulkMixedWorkload
 
+        from reversed_executor import ReversedExecutor
+
         wl = BulkMixedWorkload(
             UniformKeys(10**12, seed=9), mix=(0.4, 0.4, 0.1, 0.1), seed=10,
             chunk=512,
         )
         kinds, keys = wl.take_arrays(3000)
-        totals = {}
-        for executor in ("serial", "threads"):
+        reverse = ReversedExecutor()
+        totals = []
+        for executor in (None, reverse):
             ctx = make_context(b=32, m=128, cache_blocks=16,
                                hard_memory=False)
             with DictionaryService(ctx, _buffered, shards=4,
-                                   executor=executor, epoch_ops=512) as svc:
+                                   epoch_ops=512) as svc:
+                if executor is not None:
+                    svc.executor = executor
                 svc.run(kinds, keys)
-                totals[executor] = svc.cache_snapshot()
-        assert totals["serial"] == totals["threads"]
+                totals.append(svc.cache_snapshot())
+        assert reverse.reordered > 0
+        assert totals[0] == totals[1]

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import pickle
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -206,6 +208,26 @@ class TestRecover:
     def test_recover_missing_snapshot(self, tmp_path, capsys):
         assert main(["recover", "--snapshot", str(tmp_path / "nope.pkl")]) == 2
         assert "recover:" in capsys.readouterr().err
+        assert main(["recover", "--snapshot", str(tmp_path)]) == 2  # a directory
+        assert "recover:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (pickle.dumps({"version": 99}), "unsupported snapshot version 99"),
+            (pickle.dumps([1, 2]), "unsupported snapshot version None"),
+            (b"", "is not a service snapshot"),
+            (b"\x80\x05garbage", "is not a service snapshot"),
+        ],
+        ids=["version", "not-a-dict", "empty", "truncated"],
+    )
+    def test_recover_bad_snapshot(self, tmp_path, capsys, content, message):
+        snap = tmp_path / "bad.pkl"
+        snap.write_bytes(content)
+        assert main(["recover", "--snapshot", str(snap)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("recover: ") and message in err
+        assert str(snap) in err
 
 
 class TestObservability:

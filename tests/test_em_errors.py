@@ -107,7 +107,6 @@ class TestServiceFaultMessages:
             ctx,
             lambda c: BufferedHashTable(c, MULTIPLY_SHIFT.sample(c.u, seed=7)),
             shards=2,
-            executor="serial",
             epoch_ops=64,
         )
         for sub in [t.ctx for t in svc.shard_tables()]:

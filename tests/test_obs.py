@@ -12,11 +12,11 @@ Pinned here:
   configurations; the trace's charged-I/O records *partition* the
   ledger: ``charged_io(records) == io_snapshot().total``;
 * **determinism** — wall-free traces of the same seeded stream are
-  byte-identical across runs and executors (serial vs threads), with
-  and without a journal; wall-stamped traces agree modulo
+  byte-identical across runs and shard orders (serial vs
+  :class:`ReversedExecutor`), with and without a journal; wall-stamped traces agree modulo
   :data:`~repro.obs.WALL_FIELDS`; open-loop traces carry the virtual
   clock and are deterministic;
-* **metrics** — the registry is executor-invariant, rides
+* **metrics** — the registry is shard-order-invariant, rides
   snapshot/restore, and its Prometheus dump is well-formed;
 * **events** — admission, breaker, rebalance, fsync and cache-evict
   point events appear when (and only when) their subsystems engage.
@@ -66,6 +66,8 @@ from repro.tables.sharded import _ROUTER_SEED
 from repro.workloads.generators import AdversarialBucketKeys, UniformKeys
 from repro.workloads.trace import BulkMixedWorkload
 
+from reversed_executor import ReversedExecutor
+
 U = 2**61 - 1
 SHARDS = 4
 WINDOW = 512
@@ -94,23 +96,25 @@ def _stream(n=N, *, adversarial=False):
 
 
 def _service(*, obs=None, cache_blocks=0, journal=None, rebalance=None,
-             executor="serial"):
+             executor=None):
     # Memory-starved (m = 4 blocks of 64 words per cluster) so the
     # stream genuinely spills: every epoch charges I/O, and the cached
     # configuration sees hits, misses and evictions.
     ctx = make_context(
         b=64, m=256, u=U, backend="arena", cache_blocks=cache_blocks
     )
-    return DictionaryService(
+    svc = DictionaryService(
         ctx,
         _table_factory,
         shards=SHARDS,
         epoch_ops=WINDOW,
-        executor=executor,
         journal=journal,
         rebalance=rebalance,
         obs=obs,
     )
+    if executor is not None:
+        svc.executor = executor
+    return svc
 
 
 def _fingerprint(svc, run):
@@ -342,19 +346,16 @@ def test_wall_free_trace_is_byte_identical(tmp_path, journaled):
             svc.run(kinds, keys)
         return path.read_bytes()
 
-    a = run("a", "serial")
-    b = run("b", "serial")
-    c = run("c", "threads")
-    # Same executor: the whole file is byte-identical run to run.
+    reverse = ReversedExecutor()
+    a = run("a", None)
+    b = run("b", None)
+    c = run("c", reverse)
+    assert reverse.reordered > 0
+    # Same shard order: the whole file is byte-identical run to run.
     assert a == b
-    # Across executors everything matches except the run_start record's
-    # executor label (a config field, not a measurement).
-    ra = scan_trace(tmp_path / "a.jsonl").records
-    rc = scan_trace(tmp_path / "c.jsonl").records
-    assert ra and ra[0].pop("executor") == "serial"
-    assert rc[0].pop("executor") == "threads"
-    assert ra == rc
-    assert a.splitlines()[1:] == c.splitlines()[1:]
+    # Reversed shard order: byte-identical too, run_start included (the
+    # executor is swapped after construction, so it still says serial).
+    assert a == c
 
 
 def test_wall_trace_agrees_modulo_wall_fields(tmp_path):
@@ -402,7 +403,8 @@ def test_open_loop_trace_carries_virtual_clock():
 def test_metrics_match_service_counters_and_executors():
     kinds, keys = _stream()
     dicts = []
-    for executor in ("serial", "threads"):
+    reverse = ReversedExecutor()
+    for executor in (None, reverse):
         with _service(executor=executor) as svc:
             svc.run(kinds, keys)
             m = svc.metrics()
@@ -426,7 +428,8 @@ def test_metrics_match_service_counters_and_executors():
             )
             assert shard_sum == snap.total
             dicts.append(m.as_dict())
-    assert dicts[0] == dicts[1], "metrics registry must be executor-invariant"
+    assert reverse.reordered > 0
+    assert dicts[0] == dicts[1], "metrics registry must be shard-order-invariant"
 
 
 def test_metrics_survive_snapshot_restore(tmp_path):

@@ -22,6 +22,7 @@ from repro.hashing.family import MULTIPLY_SHIFT
 from repro.service import (
     DictionaryService,
     EpochJournal,
+    SerialExecutor,
     recover,
     restore_service,
     run_crash_matrix,
@@ -44,9 +45,7 @@ def _chained(ctx):
 
 def _make_service(backend="mapping", policy=None, shards=3, factory=_buffered):
     ctx = make_context(b=16, m=128, u=10**12, backend=backend, policy=policy)
-    return DictionaryService(
-        ctx, factory, shards=shards, executor="serial", epoch_ops=256
-    )
+    return DictionaryService(ctx, factory, shards=shards, epoch_ops=256)
 
 
 def _trace(n, chunk=200, seed=9):
@@ -95,11 +94,27 @@ class TestSnapshotRestore:
         with pytest.raises(ValueError, match="snapshot version"):
             restore_service(path)
 
-    def test_restore_can_override_executor(self, tmp_path):
+    def test_restore_ignores_snapshot_executor(self, tmp_path):
+        """A snapshot whose state names the ``threads`` executor restores
+        to a serial service, which runs on to the writer's own ledgers."""
+        import pickle
+
+        kinds, keys = _trace(1600)
         svc = _make_service()
-        snapshot_service(svc, tmp_path / "s.pkl")
-        twin = restore_service(tmp_path / "s.pkl", executor="threads")
-        assert twin.executor.name == "threads"
+        svc.run(kinds[:800], keys[:800])
+        path = tmp_path / "s.pkl"
+        snapshot_service(svc, path)
+        state = pickle.loads(path.read_bytes())
+        assert state["executor"] == "serial"
+        state["executor"] = "threads"
+        path.write_bytes(pickle.dumps(state))
+        twin = restore_service(path)
+        assert type(twin.executor) is SerialExecutor
+        svc.run(kinds[800:], keys[800:])
+        twin.run(kinds[800:], keys[800:])
+        assert _ledger(svc) == _ledger(twin)
+        assert svc.shard_io_snapshots() == twin.shard_io_snapshots()
+        assert svc.shard_sizes() == twin.shard_sizes()
 
 
 class TestJournalReplay:

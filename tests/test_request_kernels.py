@@ -2,7 +2,7 @@
 
 ``conflict_bounds`` sorts keys unstably and, when some key is seen
 under two kinds, orders each key's positions with one integer sort; ``partition_positions`` radix-sorts narrow ids;
-``membership`` sorts large query sets before its binary search; the
+``membership`` sorts its queries before its binary search; the
 service's ``_route`` makes one stable split over ``shard * 3 + kind``;
 ``BufferPool.access_sequence`` inlines its installs and reports its
 victims after the replay.  Each is pinned here, over hypothesis-drawn
@@ -23,11 +23,7 @@ from repro.hashing.family import MULTIPLY_SHIFT
 from repro.service import DictionaryService
 from repro.service.epochs import Epoch, build_epochs, conflict_bounds
 from repro.tables import ChainedHashTable
-from repro.tables.batching import (
-    SORTED_NEEDLES_FROM,
-    membership,
-    partition_positions,
-)
+from repro.tables.batching import membership, partition_positions
 from repro.workloads.trace import OP_DELETE, OP_INSERT, OP_LOOKUP
 
 KERNELS = settings(derandomize=True, deadline=None, max_examples=150)
@@ -197,8 +193,9 @@ def test_partition_positions_of_empty_and_negative_ids():
 
 @st.composite
 def query_sets(draw):
-    """Queries on both sides of the crossover, with repeats and misses."""
-    near = SORTED_NEEDLES_FROM
+    """Small and large query sets (both sides of 512), with repeats and
+    misses."""
+    near = 512
     n_q = draw(
         st.sampled_from([0, 1, 7, near - 2, near - 1, near, near + 1, 2 * near + 5])
     )

@@ -1,4 +1,4 @@
-"""The dictionary service layer: epochs, executors, client.
+"""The dictionary service layer: epochs, shard order, client.
 
 Three guarantees are pinned here:
 
@@ -7,10 +7,11 @@ Three guarantees are pinned here:
   and final contents equal a scalar program-order execution, at every
   shard count and epoch size, despite the conflict-aware cross-kind
   regrouping inside epochs;
-* **executor determinism** — the ``threads`` executor produces
-  bit-identical per-shard I/O ledgers, merged cluster counters, disk
-  layouts and memory peaks to the ``serial`` executor, under both I/O
-  policies and over both storage backends;
+* **shard-order determinism** — running each epoch's shards in
+  descending order (:class:`ReversedExecutor`) produces bit-identical
+  per-shard I/O ledgers, merged cluster counters, disk layouts and
+  memory peaks to the ``serial`` executor, under both I/O policies and
+  over both storage backends;
 * **placement compatibility** — a service over N shards stores keys on
   exactly the shard a :class:`~repro.tables.sharded.ShardedDictionary`
   over N shards would pick (same fixed-seed router).
@@ -43,9 +44,9 @@ from repro.service import (
     EpochJournal,
     OpenLoopClient,
     PoissonArrivals,
+    SerialExecutor,
     ShardBreakerBoard,
     build_epochs,
-    make_executor,
     recover,
     run_crash_matrix,
     run_overload_chaos,
@@ -61,6 +62,8 @@ from repro.workloads.trace import (
     MixedWorkload,
     encode_ops,
 )
+
+from reversed_executor import ReversedExecutor
 
 
 def _chained(ctx):
@@ -254,19 +257,19 @@ def test_run_trace_equals_encoded_run():
         assert a.io_snapshot() == b.io_snapshot()
 
 
-# -- executor determinism ----------------------------------------------------
+# -- shard-order determinism -------------------------------------------------
 
 
-def _drive(executor, policy, backend, factory=_buffered, shards=6):
+def _drive(policy, backend, executor=None, factory=_buffered, shards=6):
     gen = UniformKeys(10**12, seed=21)
     wl = BulkMixedWorkload(gen, mix=(0.4, 0.4, 0.1, 0.1), seed=2, chunk=512)
     kinds, keys = wl.take_arrays(6000)
     ctx = make_context(
         b=32, m=512, policy=policy, backend=backend, hard_memory=False
     )
-    svc = DictionaryService(
-        ctx, factory, shards=shards, executor=executor, epoch_ops=512
-    )
+    svc = DictionaryService(ctx, factory, shards=shards, epoch_ops=512)
+    if executor is not None:
+        svc.executor = executor
     try:
         run = svc.run(kinds, keys)
         snap = svc.layout_snapshot()
@@ -293,21 +296,25 @@ def _drive(executor, policy, backend, factory=_buffered, shards=6):
     "policy", [PAPER_POLICY, STRICT_POLICY], ids=["paper", "strict"]
 )
 def test_threads_bit_identical_to_serial(policy, backend):
-    serial = _drive("serial", policy, backend)
-    threads = _drive("threads", policy, backend)
-    assert serial["found"] == threads["found"]
-    assert serial["removed"] == threads["removed"]
-    assert serial["epoch_ios"] == threads["epoch_ios"]
-    assert serial["shard_ledgers"] == threads["shard_ledgers"]
-    assert serial["cluster"] == threads["cluster"]
-    assert serial["blocks"] == threads["blocks"], "disk layouts diverge"
-    assert serial["memory_items"] == threads["memory_items"]
-    assert serial["peak"] == threads["peak"]
-    assert serial["sizes"] == threads["sizes"]
+    """Shard order changes nothing: the serial executor against one that
+    runs each epoch's shards in descending order."""
+    serial = _drive(policy, backend)
+    reverse = ReversedExecutor()
+    reversed_ = _drive(policy, backend, reverse)
+    assert reverse.reordered > 0
+    assert serial["found"] == reversed_["found"]
+    assert serial["removed"] == reversed_["removed"]
+    assert serial["epoch_ios"] == reversed_["epoch_ios"]
+    assert serial["shard_ledgers"] == reversed_["shard_ledgers"]
+    assert serial["cluster"] == reversed_["cluster"]
+    assert serial["blocks"] == reversed_["blocks"], "disk layouts diverge"
+    assert serial["memory_items"] == reversed_["memory_items"]
+    assert serial["peak"] == reversed_["peak"]
+    assert serial["sizes"] == reversed_["sizes"]
 
 
 def test_cluster_ledger_equals_shard_sum():
-    out = _drive("threads", PAPER_POLICY, "arena")
+    out = _drive(PAPER_POLICY, "arena", ReversedExecutor())
     total = np.sum(np.array(out["shard_ledgers"]), axis=0).tolist()
     c = out["cluster"]
     assert total == [c.reads, c.writes, c.combined, c.allocations]
@@ -381,53 +388,15 @@ def test_rebalanced_service_passes_routing_check():
 
 
 def test_executor_registry_and_validation():
-    assert type(make_executor("serial")).name == "serial"
-    assert type(make_executor("threads")).name == "threads"
-    with pytest.raises(Exception, match="unknown executor"):
-        make_executor("fibers")
     ctx = make_context(b=32, m=512)
+    with DictionaryService(ctx, _chained, shards=2) as svc:
+        assert type(svc.executor) is SerialExecutor
+    with pytest.raises(TypeError, match="executor"):
+        DictionaryService(ctx, _chained, executor="serial")
     with pytest.raises(Exception, match="shard count"):
         DictionaryService(ctx, _chained, shards=0)
     with pytest.raises(Exception, match="epoch_ops"):
         DictionaryService(ctx, _chained, epoch_ops=-1)
-
-
-def test_thread_executor_propagates_thunk_exception():
-    ex = make_executor("threads", max_workers=2)
-    ran = []
-
-    def boom():
-        raise RuntimeError("shard 1 exploded")
-
-    def ok(tag):
-        def thunk():
-            ran.append(tag)
-            return tag
-        return thunk
-
-    try:
-        # The failure must surface (deterministically the first in
-        # submission order), not deadlock, and not abandon siblings:
-        # every other thunk still runs to completion first.
-        with pytest.raises(RuntimeError, match="shard 1 exploded"):
-            ex.run([ok("a"), boom, ok("b"), ok("c")])
-        assert sorted(ran) == ["a", "b", "c"]
-        with pytest.raises(ValueError, match="first"):
-            ex.run([lambda: (_ for _ in ()).throw(ValueError("first")),
-                    lambda: (_ for _ in ()).throw(KeyError("second"))])
-        # The pool survives a failed round and is immediately reusable.
-        assert ex.run([ok("d"), ok("e")]) == ["d", "e"]
-    finally:
-        ex.close()
-
-
-def test_thread_executor_close_is_idempotent():
-    ex = make_executor("threads", max_workers=2)
-    assert ex.run([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
-    ex.close()
-    ex.close()
-    assert ex.run([lambda: 4, lambda: 5]) == [4, 5]  # pool rebuilt on demand
-    ex.close()
 
 
 # -- closed-loop client ------------------------------------------------------
