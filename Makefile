@@ -11,8 +11,10 @@ help:
 	@echo "  make test          tier-1 verification: PYTHONPATH=src python -m pytest tests/ -x -q"
 	@echo "                     (includes the crash-recovery chaos suite)"
 	@echo "  make test-fast     quick subset: tables + parity + EM layer (disk, backends,"
-	@echo "                     cache) + hashing + the shard set's two owners (router,"
-	@echo "                     service) + request-path kernels + the pinned paper points"
+	@echo "                     cache) + hashing + the classic tables' own suites (chains,"
+	@echo "                     chaining, open addressing) + the shard set's two owners"
+	@echo "                     (router, service) + request-path kernels + the pinned"
+	@echo "                     paper points"
 	@echo "  make chaos-test    crash-point matrix only: journal/recovery/fault-injection"
 	@echo "  make overload-test open-loop traffic + admission/shedding/breaker invariants"
 	@echo "  make obs-test      observability: trace framing/determinism, metrics, relabelling"
@@ -36,6 +38,8 @@ test:
 ## the skew-routing contracts: slot directory, rebalancer policy,
 ## migration journal, generator determinism — and the observability
 ## contracts: trace framing/determinism, metrics folding, relabelling —
+## the classic tables' own suites: overflow chains, chained hashing,
+## linear probing, extendible and linear hashing —
 ## the shard set's two owners: the sharded router and the service —
 ## the request-path kernels (epoch bounds, shard split, membership, LRU
 ## replay) pinned to their plain reference versions —
@@ -46,6 +50,8 @@ test-fast:
 	    tests/test_cache_axis.py tests/test_buffered.py \
 	    tests/test_logmethod.py tests/test_rebalance.py \
 	    tests/test_obs.py tests/test_hashing.py \
+	    tests/test_overflow.py tests/test_tables_chaining.py \
+	    tests/test_tables_open_addressing.py \
 	    tests/test_sharded.py tests/test_service.py \
 	    tests/test_request_kernels.py tests/test_paper_claims.py -q
 

@@ -204,20 +204,6 @@ class BTree(ExternalDictionary):
             self.stats.inserts += 1
         self._charge_memory()
 
-    def insert_batch(self, keys: Sequence[int] | np.ndarray) -> None:
-        """Batch insert over one normalisation pass.
-
-        The preemptive-split descent is inherently sequential — every
-        insert's path depends on the splits of the one before, and the
-        contract pins the exact read-modify-write order per key — so
-        the walk stays per key (cf. the chained table's data-dependent
-        chain walks); batching amortises the key normalisation and the
-        per-call dispatch.
-        """
-        key_list, _ = normalize_keys(keys)
-        for k in key_list:
-            self.insert(k)
-
     def _insert_nonfull(self, node: _Node, bid: int | None, key: int) -> bool:
         """Insert into the subtree at ``node`` (known non-full).
 

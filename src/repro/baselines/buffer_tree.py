@@ -486,33 +486,6 @@ class BufferTree(ExternalDictionary):
         self._charge_memory()
         return True
 
-    def delete_batch(
-        self,
-        keys: "Sequence[int] | np.ndarray",
-        *,
-        cost_out: list[int] | None = None,
-    ) -> np.ndarray:
-        """Per-key deletes over one normalisation pass.
-
-        Unlike lookups, deletes rewrite the shared buffer blocks along
-        their paths, so grouping keys per node would merge read-modify-
-        write cycles the scalar loop charges separately — the walk stays
-        per key to honour the I/O-equivalence contract (cf. the chained
-        table's data-dependent chain walks).
-        """
-        key_list, _ = normalize_keys(keys)
-        n = len(key_list)
-        out = np.empty(n, dtype=bool)
-        stats = self.ctx.stats
-        for i in range(n):
-            if cost_out is None:
-                out[i] = self.delete(key_list[i])
-            else:
-                before = stats.reads + stats.writes
-                out[i] = self.delete(key_list[i])
-                cost_out.append(stats.reads + stats.writes - before)
-        return out
-
     def flush_all(self) -> None:
         """Force every buffered item down to the leaves (used before
         bulk verification; costs what the lazy flushes would have)."""

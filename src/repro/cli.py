@@ -171,6 +171,15 @@ def _base_factories(args) -> dict[str, Callable]:
     }
 
 
+def _pick_table(factories: dict[str, Callable], name: str) -> Callable:
+    """The factory ``--table`` names; an unknown name is a config error."""
+    if name not in factories:
+        raise ConfigurationError(
+            f"unknown table {name!r}; choose from {sorted(factories)}"
+        )
+    return factories[name]
+
+
 def cmd_figure1(args) -> int:
     storage = _storage(args)
 
@@ -259,16 +268,13 @@ def cmd_audit(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    factories = _table_factories(args)
-    if args.table not in factories:
-        print(f"unknown table {args.table!r}; choose from {sorted(factories)}")
-        return 2
+    factory = _pick_table(_table_factories(args), args.table)
     storage = _storage(args)
     ctx = make_context(
         b=args.b, m=args.m, u=2**40, backend=storage.backend,
         cache_blocks=storage.cache_blocks,
     )
-    table = factories[args.table](ctx)
+    table = factory(ctx)
     wl = MixedWorkload(
         UniformKeys(ctx.u, args.seed),
         mix=tuple(args.mix),
@@ -363,10 +369,7 @@ def cmd_serve(args) -> int:
     if error is not None:
         print(f"serve: {error}", file=sys.stderr)
         return 2
-    factories = _base_factories(args)
-    if args.table not in factories:
-        print(f"unknown table {args.table!r}; choose from {sorted(factories)}")
-        return 2
+    factory = _pick_table(_base_factories(args), args.table)
     ctx = make_context(
         b=args.b, m=args.m, u=2**40, backend=storage.backend,
         cache_blocks=storage.cache_blocks,
@@ -381,7 +384,7 @@ def cmd_serve(args) -> int:
     journal = EpochJournal(args.journal) if args.journal else None
     with DictionaryService(
         ctx,
-        factories[args.table],
+        factory,
         shards=args.shards,
         epoch_ops=args.epoch_ops,
         journal=journal,
@@ -524,10 +527,7 @@ def cmd_slo(args) -> int:
     if error is not None:
         print(f"slo: {error}", file=sys.stderr)
         return 2
-    factories = _base_factories(args)
-    if args.table not in factories:
-        print(f"unknown table {args.table!r}; choose from {sorted(factories)}")
-        return 2
+    factory = _pick_table(_base_factories(args), args.table)
 
     def make_service():
         ctx = make_context(
@@ -535,7 +535,7 @@ def cmd_slo(args) -> int:
             cache_blocks=storage.cache_blocks,
         )
         return DictionaryService(
-            ctx, factories[args.table], shards=args.shards,
+            ctx, factory, shards=args.shards,
             epoch_ops=args.epoch_ops,
         )
 

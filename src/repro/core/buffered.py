@@ -176,9 +176,7 @@ class BufferedHashTable(ExternalDictionary):
             self.stats.hits += 1
             return True
         bucket = self._hhat[int(self.h.hash(key)) % len(self._hhat)]
-        found, _ = bucket.lookup(key)
-        if not found:
-            found = self._recent.lookup_disk_only(key)
+        found = bucket.lookup(key) or self._recent.lookup_disk_only(key)
         if found:
             self.stats.hits += 1
         return found

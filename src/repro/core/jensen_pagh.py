@@ -154,7 +154,7 @@ class JensenPaghTable(ExternalDictionary):
             # This block never spilled, so the key cannot be in the
             # overflow area: definitive miss in one I/O.
             return False
-        found, _ = self._overflow_bucket(key).lookup(key)
+        found = self._overflow_bucket(key).lookup(key)
         if found:
             self.stats.hits += 1
         return found

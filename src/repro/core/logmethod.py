@@ -231,7 +231,7 @@ class LogMethodHashTable(ExternalDictionary):
         the key's bucket), stopping at the first hit."""
         hv = int(self.h.hash(key))
         return any(
-            lvl.buckets[hv % len(lvl.buckets)].lookup(key)[0]
+            lvl.buckets[hv % len(lvl.buckets)].lookup(key)
             for lvl in self._levels
             if lvl is not None and not lvl.empty
         )

@@ -318,6 +318,20 @@ class EpochJournal:
         )
 
     @staticmethod
+    def check_file(path: str | Path) -> None:
+        """Raise :class:`ValueError` naming ``path`` unless it is a file
+        whose first bytes are a prefix of the record magic.  An empty file,
+        or one cut inside its first record, passes: a journal with nothing
+        committed."""
+        try:
+            with open(path, "rb") as fh:
+                head = fh.read(len(_MAGIC))
+        except FileNotFoundError:
+            raise ValueError(f"no journal file at {path}") from None
+        if not _MAGIC.startswith(head):
+            raise ValueError(f"{path} is not an epoch journal (starts {head!r})")
+
+    @staticmethod
     def truncate(path: str | Path, nbytes: int) -> None:
         """Cut the journal back to ``nbytes`` (drop the uncommitted tail)."""
         with open(path, "rb+") as fh:

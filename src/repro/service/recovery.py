@@ -186,10 +186,17 @@ def recover(
     past the snapshot's stream position, truncates the journal back to
     its committed prefix, and (by default) reattaches a live journal so
     the resumed service keeps the same durability guarantee.
+
+    Raises :class:`ValueError` naming ``journal_path`` when that file
+    does not exist or does not start like a journal record
+    (:meth:`EpochJournal.check_file`).  An empty file, or one cut inside
+    its first record (a crash mid-first-append), is a journal with
+    nothing committed.
     """
     svc = restore_service(snapshot_path)
     replayed = replayed_ops = discarded = 0
     if journal_path is not None:
+        EpochJournal.check_file(journal_path)
         scan = EpochJournal.scan(journal_path)
         # Log order: a REBALANCE record re-executes exactly between the
         # committed epochs it originally ran between, against the shard
@@ -212,8 +219,7 @@ def recover(
             replayed_ops += rec.ops
         discarded = scan.uncommitted_ops
         if resume_journal:
-            if Path(journal_path).exists():
-                EpochJournal.truncate(journal_path, scan.committed_bytes)
+            EpochJournal.truncate(journal_path, scan.committed_bytes)
             svc.journal = EpochJournal(journal_path)
     return RecoveryReport(
         service=svc,

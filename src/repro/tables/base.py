@@ -16,14 +16,17 @@ Items ``x`` with ``x ∈ B_{f(x)}`` form the fast zone; all other
 disk-resident items form the slow zone (≥ 2 I/Os).  The zone analyser
 in :mod:`repro.lowerbound.zones` consumes these snapshots.
 
-Every table also exposes a **batch operation engine**
+Every table also exposes the **batch operations**
 (:meth:`ExternalDictionary.insert_batch` /
 :meth:`ExternalDictionary.lookup_batch` /
 :meth:`ExternalDictionary.delete_batch`): same semantics and — by
-contract — bit-identical I/O accounting as the scalar loop, but with
-the data-parallel work (hashing, bucket partitioning, bookkeeping)
-amortised over the whole batch.  See ``src/repro/workloads/README.md``
-for the contract and :mod:`repro.tables.batching` for the shared
+contract — bit-identical I/O accounting as the scalar loop.  The base
+class runs them as that loop; a table overrides one only with a real
+batch engine, one that amortises data-parallel work (hashing, bucket
+partitioning, membership, charging a recorded walk) over the whole
+batch, never with a copy of the scalar walk.  See
+``src/repro/workloads/README.md`` for the contract and the tables that
+have engines, and :mod:`repro.tables.batching` for the shared
 vectorised staging primitives.
 """
 
@@ -169,9 +172,10 @@ class ExternalDictionary(abc.ABC):
         :class:`~repro.em.iostats.IOStats` counters, produce the same
         :class:`TableStats` and the same :meth:`layout_snapshot` as
         ``insert_many(keys)`` — under every I/O policy.  The base
-        implementation *is* the scalar loop; subclasses override it with
-        vectorised paths (one ``hash_array`` call, bulk bucket
-        partitioning) that honour the contract.
+        implementation *is* the scalar loop; a subclass overrides it only
+        with a batch engine that honours the contract (segments between
+        the loop's flush or merge events, one duplicate screen per
+        batch), not with the per-key walk again.
         """
         for k in keys:
             self.insert(int(k))
@@ -186,9 +190,9 @@ class ExternalDictionary(abc.ABC):
 
         Returns a boolean array aligned with ``keys``.  When
         ``cost_out`` is given, the charged I/O total of each individual
-        lookup is appended to it (the vectorised replacement for the
-        driver-side snapshot/delta loop).  Subject to the same
-        I/O-equivalence contract as :meth:`insert_batch`.
+        lookup is appended to it: the delta of ``ctx.stats`` across that
+        lookup, so a block a buffer pool serves costs nothing.  Subject
+        to the same I/O-equivalence contract as :meth:`insert_batch`.
         """
         n = len(keys)
         out = np.empty(n, dtype=bool)
@@ -215,10 +219,11 @@ class ExternalDictionary(abc.ABC):
         contract as :meth:`insert_batch` — bit-identical
         :class:`~repro.em.iostats.IOStats`, :class:`TableStats`, layouts
         and memory peaks as ``delete_many(keys)`` under every policy.
-        The base implementation *is* the scalar loop; tables override it
-        with vectorised staging (one ``hash_array`` call, precomputed
-        membership screens) that honours the contract.  ``cost_out``
-        collects the charged I/O total of each individual delete.
+        The base implementation *is* the scalar loop; a table overrides
+        it only with a batch engine (a removing walk, a membership screen
+        for the whole batch) that honours the contract.  ``cost_out``
+        collects the charged I/O total of each individual delete, the
+        ``ctx.stats`` delta across it, as for :meth:`lookup_batch`.
         """
         n = len(keys)
         out = np.empty(n, dtype=bool)

@@ -14,14 +14,14 @@ maintenance the paper notes costs only ``O(1/b)`` extra amortized I/Os.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..em.storage import EMContext
 from ..hashing.base import HashFunction
 from .base import ExternalDictionary, LayoutSnapshot
-from .batching import normalize_keys, partition_by_bucket
+from .batching import partition_by_bucket
 from .overflow import ChainedBucket, bulk_fill_buckets
 
 
@@ -96,7 +96,7 @@ class ChainedHashTable(ExternalDictionary):
 
     def lookup(self, key: int) -> bool:
         self.stats.lookups += 1
-        found, _ = self._buckets[self.bucket_of(key)].lookup(key)
+        found = self._buckets[self.bucket_of(key)].lookup(key)
         if found:
             self.stats.hits += 1
         return found
@@ -107,87 +107,6 @@ class ChainedHashTable(ExternalDictionary):
             self.stats.deletes += 1
             return True
         return False
-
-    # -- batch operations ---------------------------------------------------------
-
-    def insert_batch(self, keys: Sequence[int] | np.ndarray) -> None:
-        """Vectorised-hash insert: one ``hash_array`` call for the batch.
-
-        The per-key chain walk (and the resize predicate it may trigger)
-        stays in key order, so the charged I/Os are identical to the
-        scalar loop; rebuilds mid-batch are handled by re-reducing the
-        stored full-entropy hash against the new bucket count.  The
-        load-factor probe rides the incremental chain-block counter, so
-        the resize predicate is O(1) per key rather than an O(d) sweep.
-        """
-        key_list, arr = normalize_keys(keys)
-        hv = self.h.hash_array(arr).tolist()
-        buckets = self._buckets
-        for key, h in zip(key_list, hv):
-            bucket = buckets[h % len(buckets)]
-            chain_before = bucket.chain_length
-            if bucket.insert(key):
-                self._chain_blocks += bucket.chain_length - chain_before
-                self._size += 1
-                self.stats.inserts += 1
-                if self.max_load is not None and self.load_factor() > self.max_load:
-                    self._rebuild(2 * len(buckets))
-                    buckets = self._buckets
-
-    def lookup_batch(
-        self,
-        keys: Sequence[int] | np.ndarray,
-        *,
-        cost_out: list[int] | None = None,
-    ) -> np.ndarray:
-        key_list, arr = normalize_keys(keys)
-        n = len(key_list)
-        d = len(self._buckets)
-        idx = (self.h.hash_array(arr) % np.uint64(d)).tolist()
-        buckets = self._buckets
-        out = np.empty(n, dtype=bool)
-        hits = 0
-        for i in range(n):
-            found, ios = buckets[idx[i]].lookup(key_list[i])
-            out[i] = found
-            hits += found
-            if cost_out is not None:
-                cost_out.append(ios)
-        self.stats.lookups += n
-        self.stats.hits += hits
-        return out
-
-    def delete_batch(
-        self,
-        keys: Sequence[int] | np.ndarray,
-        *,
-        cost_out: list[int] | None = None,
-    ) -> np.ndarray:
-        """Vectorised-hash deletes; the per-key chain walk stays in key
-        order (deletes never resize, so the bucket count is fixed for
-        the whole batch)."""
-        key_list, arr = normalize_keys(keys)
-        n = len(key_list)
-        out = np.empty(n, dtype=bool)
-        if n == 0:
-            return out
-        d = len(self._buckets)
-        idx = (self.h.hash_array(arr) % np.uint64(d)).tolist()
-        buckets = self._buckets
-        stats = self.ctx.stats
-        removed = 0
-        for i in range(n):
-            if cost_out is None:
-                hit = buckets[idx[i]].delete(key_list[i])
-            else:
-                before = stats.reads + stats.writes
-                hit = buckets[idx[i]].delete(key_list[i])
-                cost_out.append(stats.reads + stats.writes - before)
-            out[i] = hit
-            removed += hit
-        self._size -= removed
-        self.stats.deletes += removed
-        return out
 
     # -- maintenance -----------------------------------------------------------------
 

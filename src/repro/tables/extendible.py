@@ -104,34 +104,6 @@ class ExtendibleHashTable(ExternalDictionary):
 
     # -- batch operations ---------------------------------------------------------
 
-    def insert_batch(self, keys: Sequence[int] | np.ndarray) -> None:
-        """Vectorised-hash insert: one ``hash_array`` call for the batch.
-
-        The per-key directory walk stays in key order (splits and
-        directory doublings mid-batch re-reduce the stored full-entropy
-        hash against the new depth), so the charged I/Os are identical
-        to the scalar loop.
-        """
-        key_list, arr = normalize_keys(keys)
-        if not key_list:
-            return
-        hv = self.h.hash_array(arr).tolist()
-        disk = self.ctx.disk
-        for key, h in zip(key_list, hv):
-            while True:
-                g = self.global_depth
-                bid = self._directory[h & ((1 << g) - 1)] if g else self._directory[0]
-                blk = disk.read(bid)
-                if key in blk:
-                    break
-                if not blk.full:
-                    blk.append(key)
-                    disk.write(bid, blk)
-                    self._size += 1
-                    self.stats.inserts += 1
-                    break
-                self._split(bid)
-
     def lookup_batch(
         self,
         keys: Sequence[int] | np.ndarray,
@@ -174,47 +146,6 @@ class ExtendibleHashTable(ExternalDictionary):
             cost_out.extend(costs.tolist())
         self.stats.lookups += n
         self.stats.hits += int(np.count_nonzero(out))
-        return out
-
-    def delete_batch(
-        self,
-        keys: Sequence[int] | np.ndarray,
-        *,
-        cost_out: list[int] | None = None,
-    ) -> np.ndarray:
-        """Vectorised-hash deletes: the directory is fixed (no merging on
-        deletion), so bucket ids resolve for the whole batch up front;
-        the read-remove-write per key stays in key order so consecutive
-        same-bucket deletes combine exactly like the scalar loop."""
-        key_list, arr = normalize_keys(keys)
-        n = len(key_list)
-        out = np.empty(n, dtype=bool)
-        if n == 0:
-            return out
-        g = self.global_depth
-        hv = self.h.hash_array(arr)
-        idx = (
-            (hv & np.uint64((1 << g) - 1)).astype(np.int64)
-            if g
-            else np.zeros(n, dtype=np.int64)
-        )
-        bids = np.asarray(self._directory, dtype=np.int64)[idx].tolist()
-        disk = self.ctx.disk
-        stats = self.ctx.stats
-        removed = 0
-        for i in range(n):
-            before = stats.reads + stats.writes if cost_out is not None else 0
-            bid = bids[i]
-            blk = disk.read(bid)
-            hit = blk.remove(key_list[i])
-            if hit:
-                disk.write(bid, blk)
-                removed += 1
-            if cost_out is not None:
-                cost_out.append(stats.reads + stats.writes - before)
-            out[i] = hit
-        self._size -= removed
-        self.stats.deletes += removed
         return out
 
     # -- splitting ----------------------------------------------------------------------

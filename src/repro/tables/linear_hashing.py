@@ -15,14 +15,11 @@ hashing it needs only O(1) words of memory for addressing.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..em.storage import EMContext
 from ..hashing.base import HashFunction
 from .base import ExternalDictionary, LayoutSnapshot
-from .batching import normalize_keys
 from .overflow import ChainedBucket
 
 
@@ -79,7 +76,7 @@ class LinearHashingTable(ExternalDictionary):
 
     def lookup(self, key: int) -> bool:
         self.stats.lookups += 1
-        found, _ = self._buckets[self.bucket_index(key)].lookup(key)
+        found = self._buckets[self.bucket_index(key)].lookup(key)
         if found:
             self.stats.hits += 1
         return found
@@ -97,107 +94,6 @@ class LinearHashingTable(ExternalDictionary):
             self.stats.deletes += 1
             return True
         return False
-
-    # -- batch operations ---------------------------------------------------------
-
-    def insert_batch(self, keys: Sequence[int] | np.ndarray) -> None:
-        """Vectorised-hash insert: one ``hash_array`` call for the batch.
-
-        Litwin addressing is re-derived per key from the stored
-        full-entropy hash (level and split pointer move mid-batch), so
-        the chain walks — and the charged I/Os — stay identical to the
-        scalar loop.
-        """
-        key_list, arr = normalize_keys(keys)
-        if not key_list:
-            return
-        hv = self.h.hash_array(arr).tolist()
-        for key, h in zip(key_list, hv):
-            idx = h % (self.n0 << self.level)
-            if idx < self.split_ptr:
-                idx = h % (self.n0 << (self.level + 1))
-            if self._buckets[idx].insert(key):
-                self._size += 1
-                self.stats.inserts += 1
-                if self.fill_fraction() > self.split_threshold:
-                    self._split_next()
-
-    def lookup_batch(
-        self,
-        keys: Sequence[int] | np.ndarray,
-        *,
-        cost_out: list[int] | None = None,
-    ) -> np.ndarray:
-        """Vectorised-hash lookups; the chain walk stays per key.
-
-        Same shape as :meth:`ChainedHashTable.lookup_batch`: hashing and
-        bookkeeping are amortised over the batch, the data-dependent
-        chain walk charges exactly as the scalar loop.
-        """
-        key_list, arr = normalize_keys(keys)
-        n = len(key_list)
-        out = np.empty(n, dtype=bool)
-        if n == 0:
-            return out
-        hv = self.h.hash_array(arr).tolist()
-        buckets = self._buckets
-        narrow = self.n0 << self.level
-        wide = self.n0 << (self.level + 1)
-        sp = self.split_ptr
-        hits = 0
-        for i in range(n):
-            h = hv[i]
-            idx = h % narrow
-            if idx < sp:
-                idx = h % wide
-            found, ios = buckets[idx].lookup(key_list[i])
-            out[i] = found
-            hits += found
-            if cost_out is not None:
-                cost_out.append(ios)
-        self.stats.lookups += n
-        self.stats.hits += hits
-        return out
-
-    def delete_batch(
-        self,
-        keys: Sequence[int] | np.ndarray,
-        *,
-        cost_out: list[int] | None = None,
-    ) -> np.ndarray:
-        """Vectorised-hash deletes; the chain walk stays per key.
-
-        Deletion never moves the split pointer or level, so Litwin
-        addressing is computed for the whole batch up front.
-        """
-        key_list, arr = normalize_keys(keys)
-        n = len(key_list)
-        out = np.empty(n, dtype=bool)
-        if n == 0:
-            return out
-        hv = self.h.hash_array(arr)
-        narrow = np.uint64(self.n0 << self.level)
-        wide = np.uint64(self.n0 << (self.level + 1))
-        idx = (hv % narrow).astype(np.int64)
-        before_ptr = idx < self.split_ptr
-        if before_ptr.any():
-            idx[before_ptr] = (hv[before_ptr] % wide).astype(np.int64)
-        idx = idx.tolist()
-        buckets = self._buckets
-        stats = self.ctx.stats
-        removed = 0
-        for i in range(n):
-            if cost_out is None:
-                hit = buckets[idx[i]].delete(key_list[i])
-            else:
-                before = stats.reads + stats.writes
-                hit = buckets[idx[i]].delete(key_list[i])
-                cost_out.append(stats.reads + stats.writes - before)
-            out[i] = hit
-            removed += hit
-        self._size -= removed
-        self.stats.deletes += removed
-        return out
 
     # -- splitting --------------------------------------------------------------------------
 

@@ -20,14 +20,9 @@ completeness and is linear in the cluster length.)
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from ..em.storage import EMContext
 from ..hashing.base import HashFunction
 from .base import ExternalDictionary, LayoutSnapshot
-from .batching import normalize_keys
 
 
 class LinearProbingHashTable(ExternalDictionary):
@@ -74,16 +69,14 @@ class LinearProbingHashTable(ExternalDictionary):
     # -- operations ---------------------------------------------------------------------
 
     def insert(self, key: int) -> None:
+        """Probe forward from the home block and place ``key``
+        (read-modify-write of each block it updates)."""
         if self._size + 1 > self.max_fill * len(self._block_ids) * self.ctx.b:
             self._rebuild(2 * len(self._block_ids))
-        self._insert_at(key, self.home_of(key))
-
-    def _insert_at(self, key: int, home: int) -> None:
-        """Probe forward from ``home`` and place ``key`` (read-modify-write
-        of each block it updates)."""
         disk = self.ctx.disk
         ids = self._block_ids
         d = len(ids)
+        home = self.home_of(key)
         for step in range(d):
             bid = ids[(home + step) % d]
             blk = disk.load(bid)
@@ -103,69 +96,26 @@ class LinearProbingHashTable(ExternalDictionary):
         raise RuntimeError("linear probing table full despite max_fill guard")
 
     def lookup(self, key: int) -> bool:
+        """Probe forward from the home block until ``key`` or a block
+        that never overflowed."""
         self.stats.lookups += 1
-        found, _ = self._lookup_at(key, self.home_of(key))
-        if found:
-            self.stats.hits += 1
-        return found
-
-    def _lookup_at(self, key: int, home: int) -> tuple[bool, int]:
-        """Probe forward from ``home``; returns ``(found, blocks read)``."""
         disk = self.ctx.disk
         ids = self._block_ids
         d = len(ids)
+        home = self.home_of(key)
         for step in range(d):
             blk = disk.read(ids[(home + step) % d], copy=False)
             if key in blk:
-                return True, step + 1
+                self.stats.hits += 1
+                return True
             if not blk.header.get("overflowed"):
-                return False, step + 1
-        return False, d
-
-    # -- batch operations ---------------------------------------------------------
-
-    def insert_batch(self, keys: Sequence[int] | np.ndarray) -> None:
-        """Vectorised-hash insert; probe walks stay in key order."""
-        key_list, arr = normalize_keys(keys)
-        hv = self.h.hash_array(arr).tolist()
-        max_fill = self.max_fill
-        b = self.ctx.b
-        for key, h in zip(key_list, hv):
-            d = len(self._block_ids)
-            if self._size + 1 > max_fill * d * b:
-                self._rebuild(2 * d)
-                d = len(self._block_ids)
-            self._insert_at(key, h % d)
-
-    def lookup_batch(
-        self,
-        keys: Sequence[int] | np.ndarray,
-        *,
-        cost_out: list[int] | None = None,
-    ) -> np.ndarray:
-        key_list, arr = normalize_keys(keys)
-        n = len(key_list)
-        d = len(self._block_ids)
-        homes = (self.h.hash_array(arr) % np.uint64(d)).tolist()
-        out = np.empty(n, dtype=bool)
-        hits = 0
-        for i in range(n):
-            found, ios = self._lookup_at(key_list[i], homes[i])
-            out[i] = found
-            hits += found
-            if cost_out is not None:
-                cost_out.append(ios)
-        self.stats.lookups += n
-        self.stats.hits += hits
-        return out
+                return False
+        return False
 
     def delete(self, key: int) -> bool:
-        return self._delete_at(key, self.home_of(key))
-
-    def _delete_at(self, key: int, home: int) -> bool:
-        """Probe forward from ``home`` and remove ``key`` (backward-shift
-        repair on a hit)."""
-        for idx in self._probe_sequence(home):
+        """Probe forward from the home block and remove ``key``
+        (backward-shift repair on a hit)."""
+        for idx in self._probe_sequence(self.home_of(key)):
             bid = self._block_ids[idx]
             blk = self.ctx.disk.read(bid)
             if blk.remove(key):
@@ -177,31 +127,6 @@ class LinearProbingHashTable(ExternalDictionary):
             if not blk.header.get("overflowed"):
                 return False
         return False
-
-    def delete_batch(
-        self,
-        keys: Sequence[int] | np.ndarray,
-        *,
-        cost_out: list[int] | None = None,
-    ) -> np.ndarray:
-        """Vectorised-hash deletes; probe walks and compaction stay in
-        key order (the block count never changes on deletion)."""
-        key_list, arr = normalize_keys(keys)
-        n = len(key_list)
-        out = np.empty(n, dtype=bool)
-        if n == 0:
-            return out
-        d = len(self._block_ids)
-        homes = (self.h.hash_array(arr) % np.uint64(d)).tolist()
-        stats = self.ctx.stats
-        for i in range(n):
-            if cost_out is None:
-                out[i] = self._delete_at(key_list[i], homes[i])
-            else:
-                before = stats.reads + stats.writes
-                out[i] = self._delete_at(key_list[i], homes[i])
-                cost_out.append(stats.reads + stats.writes - before)
-        return out
 
     def _compact_after(self, gap_idx: int) -> None:
         """Backward-shift repair: refill the gap from overflow runs.

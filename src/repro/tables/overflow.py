@@ -65,26 +65,25 @@ class ChainedBucket:
 
     # -- charged operations ------------------------------------------------------
 
-    def lookup(self, key: int) -> tuple[bool, int]:
+    def lookup(self, key: int) -> bool:
         """Search the chain for ``key``.
 
-        Returns ``(found, ios)`` where ``ios`` is the number of blocks
-        read (the chain is walked via header pointers, so the search
-        stops one block after the hit or at the chain's end).
+        Reads the blocks in chain order via the header pointers and stops
+        at the hit or at the chain's end.  What the search costs is the
+        disk's to say: read the ledger (``disk.stats``), where a cached
+        disk charges nothing for a resident block.
         """
         disk = self.disk
         if not self._chain:
             # Chain-free bucket: one charged read, served record-level.
-            return disk.probe_record(self.primary, key), 1
-        ios = 0
+            return disk.probe_record(self.primary, key)
         for bid in self.block_ids:
             blk = disk.read(bid, copy=False)
-            ios += 1
             if key in blk:
-                return True, ios
+                return True
             if blk.header.get("next") is None:
                 break
-        return False, ios
+        return False
 
     def insert(self, key: int) -> bool:
         """Insert ``key`` unless present; returns ``True`` if inserted.

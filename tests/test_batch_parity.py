@@ -41,7 +41,11 @@ Two further axes ride on top since the pluggable-backend PR:
   must match the scalar lookups;
 * **delete batches** — 1 key and either side of the removing walk's
   crossover, on the same shapes, with every pool size: repeated keys,
-  misses, ``H_0`` keys and a batch that empties a log-method level.
+  misses, ``H_0`` keys and a batch that empties a log-method level;
+* **per-op costs** — ``cost_out`` of ``lookup_batch`` and
+  ``delete_batch`` equals each scalar op's ledger delta on every table,
+  uncached and behind 2- and 8-frame pools, where a resident block
+  costs nothing.
 """
 
 from __future__ import annotations
@@ -497,11 +501,22 @@ def test_seed_sweep_buffered(seed):
     _run_pair(factory, roomy, PAPER_POLICY, keys, probe, chunks=2)
 
 
-@pytest.mark.parametrize("name", sorted(TABLES))
-def test_cost_out_matches_snapshot_deltas(name):
+#: ``(table, pool frames)`` for the two ``cost_out`` tests; an uncached
+#: case keeps the bare table name as its id.
+COST_OUT_CASES = [
+    pytest.param(name, frames, id=f"{name}-cached{frames}" if frames else name)
+    for name in sorted(TABLES)
+    for frames in (0, 2, 8)
+]
+
+
+@pytest.mark.parametrize("name, cache_blocks", COST_OUT_CASES)
+def test_cost_out_matches_snapshot_deltas(name, cache_blocks):
     """``lookup_batch(cost_out=...)`` reports exactly the per-query I/O
-    deltas the old driver-side snapshot loop measured."""
+    deltas the old driver-side snapshot loop measured, uncached and
+    behind a buffer pool (where a resident block costs nothing)."""
     factory, roomy, _ = TABLES[name]
+    roomy = dict(roomy, cache_blocks=cache_blocks)
     keys, probe = _keys(seed=41, dupes=False)
     ctx = make_context(**roomy)
     table = factory(ctx)
@@ -524,16 +539,17 @@ def test_cost_out_matches_snapshot_deltas(name):
     assert found.tolist() == expected_found
 
 
-@pytest.mark.parametrize("name", sorted(TABLES))
-def test_delete_cost_out_matches_snapshot_deltas(name):
+@pytest.mark.parametrize("name, cache_blocks", COST_OUT_CASES)
+def test_delete_cost_out_matches_snapshot_deltas(name, cache_blocks):
     """``delete_batch(cost_out=...)`` reports exactly the per-delete I/O
-    deltas a driver-side snapshot loop around scalar deletes measures."""
+    deltas a driver-side snapshot loop around scalar deletes measures,
+    uncached and behind a buffer pool."""
     factory, roomy, _ = TABLES[name]
     keys, probe = _keys(seed=43, dupes=False)
     victims = keys[::4] + probe[-200:]  # live keys + guaranteed misses
     # Soft budget: LSM tombstones for this many deletes legitimately
     # exceed the roomy m; the high-water mark is still compared.
-    roomy = dict(roomy, hard_memory=False)
+    roomy = dict(roomy, hard_memory=False, cache_blocks=cache_blocks)
 
     ctx = make_context(**roomy)
     table = factory(ctx)

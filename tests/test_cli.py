@@ -68,8 +68,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "I/Os" in out
 
-    def test_trace_unknown_table(self, capsys):
-        assert main(["trace", "--table", "nope", "--n", "10"]) == 2
+    def test_trace_unknown_table(self, tmp_path, capsys):
+        """``trace``, ``serve`` and ``slo`` reject an unknown ``--table``
+        on stderr with the command prefix; ``serve`` before its journal
+        opens."""
+        journal = tmp_path / "j.bin"
+        for argv in (["trace", "--n", "10"], ["serve", "--journal", str(journal)],
+                     ["slo"]):
+            assert main(argv + ["--table", "nope"]) == 2
+            out, err = capsys.readouterr()
+            assert err.startswith(f"{argv[0]}: unknown table 'nope'")
+            assert out == ""
+        assert not journal.exists()
 
 
 class TestServe:
@@ -204,6 +214,32 @@ class TestRecover:
         served = [l for l in serve_out.splitlines() if l.startswith("cluster I/O")]
         recovered = [l for l in out.splitlines() if l.startswith("cluster I/O")]
         assert served == recovered
+
+    @pytest.mark.parametrize(
+        "content, code",
+        [(None, 2), (b"garbage", 2), (b"", 0), (b"RJ", 0)],
+        ids=["missing", "garbage", "empty", "torn-first-record"],
+    )
+    def test_recover_journal_path(self, tmp_path, capsys, content, code):
+        """A journal path that names no file, or a file that does not
+        start like a journal, exits 2; an empty journal and one cut inside
+        its first record recover the snapshot alone."""
+        snap, journal = tmp_path / "s.pkl", tmp_path / "j.bin"
+        assert main(["serve", "--b", "32", "--m", "256", "--n", "600",
+                     "--window", "200", "--epoch-ops", "128",
+                     "--snapshot", str(snap)]) == 0
+        capsys.readouterr()
+        if content is not None:
+            journal.write_bytes(content)
+        argv = ["recover", "--snapshot", str(snap), "--journal", str(journal)]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith("recover: ") and str(journal) in err
+        else:
+            header, _, row = out.splitlines()[:3]
+            assert err == "" and header.startswith("replayed_epochs")
+            assert int(row.split("|")[0]) == 0
 
     def test_recover_missing_snapshot(self, tmp_path, capsys):
         assert main(["recover", "--snapshot", str(tmp_path / "nope.pkl")]) == 2

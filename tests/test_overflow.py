@@ -25,7 +25,7 @@ class TestInsertLookup:
             b.insert(k)
         assert b.chain_length >= 2
         for k in range(10):
-            found, cost = b.lookup(k)
+            found = b.lookup(k)
             assert found
 
     def test_duplicate_insert_rejected(self, disk):
@@ -38,8 +38,12 @@ class TestInsertLookup:
         b = ChainedBucket(disk)
         for k in range(12):  # 3 blocks of 4
             b.insert(k)
-        _, cost_first = b.lookup(0)
-        _, cost_last = b.lookup(11)
+        before = disk.stats.reads
+        b.lookup(0)
+        cost_first = disk.stats.reads - before
+        before = disk.stats.reads
+        b.lookup(11)
+        cost_last = disk.stats.reads - before
         assert cost_first == 1
         assert cost_last >= 2
 
@@ -47,7 +51,9 @@ class TestInsertLookup:
         b = ChainedBucket(disk)
         for k in range(12):
             b.insert(k)
-        found, cost = b.lookup(999)
+        before = disk.stats.reads
+        found = b.lookup(999)
+        cost = disk.stats.reads - before
         assert not found
         assert cost == 1 + b.chain_length
 
@@ -58,7 +64,7 @@ class TestDeleteReplace:
         for k in range(10):
             b.insert(k)
         assert b.delete(3)
-        found, _ = b.lookup(3)
+        found = b.lookup(3)
         assert not found
         assert b.item_count() == 9
 
