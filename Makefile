@@ -14,7 +14,8 @@ help:
 	@echo "                     cache) + hashing + the classic tables' own suites (chains,"
 	@echo "                     chaining, open addressing) + the shard set's two owners"
 	@echo "                     (router, service) + request-path kernels + the pinned"
-	@echo "                     paper points"
+	@echo "                     paper points + the fault decorators' routing table"
+	@echo "                     (every storage-backend method must join it)"
 	@echo "  make chaos-test    crash-point matrix only: journal/recovery/fault-injection"
 	@echo "  make overload-test open-loop traffic + admission/shedding/breaker invariants"
 	@echo "  make obs-test      observability: trace framing/determinism, metrics, relabelling"
@@ -43,7 +44,9 @@ test:
 ## the shard set's two owners: the sharded router and the service —
 ## the request-path kernels (epoch bounds, shard split, membership, LRU
 ## replay) pinned to their plain reference versions —
-## and the reproduced paper points pinned to their exact charged I/Os).
+## the reproduced paper points pinned to their exact charged I/Os —
+## and the fault decorators' routing table, which every storage-backend
+## method joins, so a protocol change fails here first).
 test-fast:
 	$(PY) -m pytest tests/test_batch_parity.py tests/test_em_disk.py \
 	    tests/test_em_backends.py tests/test_em_iostats.py tests/test_em_cache.py \
@@ -53,7 +56,8 @@ test-fast:
 	    tests/test_overflow.py tests/test_tables_chaining.py \
 	    tests/test_tables_open_addressing.py \
 	    tests/test_sharded.py tests/test_service.py \
-	    tests/test_request_kernels.py tests/test_paper_claims.py -q
+	    tests/test_request_kernels.py tests/test_paper_claims.py \
+	    tests/test_faults.py::TestDecoratorRouting -q
 
 ## Crash-consistency only: the chaos matrix (crash at every epoch
 ## boundary + sampled intra-epoch backend ops, per policy x backend,

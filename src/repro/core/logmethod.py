@@ -507,9 +507,7 @@ class LogMethodHashTable(ExternalDictionary):
         contents independent of the set's build history (the batch and
         scalar paths then agree bit-for-bit by construction).
         """
-        items = np.sort(
-            np.fromiter(self._h0, dtype=np.uint64, count=len(self._h0))
-        ).tolist()
+        items = self._sorted_h0()
         self._h0.clear()
         self._merge_into_level(1, items)
         k = 1
@@ -531,7 +529,10 @@ class LogMethodHashTable(ExternalDictionary):
             self._charge_memory()
         return self._levels[k - 1]  # type: ignore[return-value]
 
-    def _drain_level(self, k: int) -> list[int]:
+    def _sorted_h0(self) -> np.ndarray:
+        return np.sort(np.fromiter(self._h0, dtype=np.uint64, count=len(self._h0)))
+
+    def _drain_level(self, k: int) -> np.ndarray:
         """Read out every item of ``H_k`` (charged) and empty it: every
         bucket is read, non-empty ones are rewritten empty."""
         lvl = self._get_level(k)
@@ -539,20 +540,19 @@ class LogMethodHashTable(ExternalDictionary):
         lvl.count = 0
         return items
 
-    def _merge_into_level(self, k: int, items: list[int]) -> None:
+    def _merge_into_level(self, k: int, items: np.ndarray) -> None:
         """Merge ``items`` (already in memory) into ``H_k`` by bucket scan.
 
         For each target bucket receiving items: read its chain, append,
         rewrite — the "scan the two tables in parallel" of the paper,
         bucket-group at a time so peak memory stays O(γ·b) words.
         """
-        if not items:
+        if not len(items):
             return
         self.stats.merges += 1
         lvl = self._get_level(k)
-        d_k = len(lvl.buckets)
-        arr = np.asarray(items, dtype=np.uint64)
-        parts = partition_by_bucket(arr, self.h.hash_array(arr) % np.uint64(d_k))
+        d_k = np.uint64(len(lvl.buckets))
+        parts = partition_by_bucket(items, self.h.hash_array(items) % d_k)
         bulk_merge_into(lvl.buckets, parts, self.ctx.disk)
         lvl.count += len(items)
 
@@ -616,21 +616,20 @@ class LogMethodHashTable(ExternalDictionary):
         self._size = 0
         self._charge_memory()
 
-    def drain_all(self) -> list[int]:
+    def drain_all(self) -> np.ndarray:
         """Read out *all* items (charged), leaving the table empty.
 
         Used by the bootstrapped table when merging the recent items
         into ``Ĥ``.  ``H_0`` items lead, in sorted order (see
-        :meth:`_migrate_h0`).
+        :meth:`_migrate_h0`); returns one ``uint64`` array.
         """
-        items = np.sort(
-            np.fromiter(self._h0, dtype=np.uint64, count=len(self._h0))
-        ).tolist()
+        parts = [self._sorted_h0()]
         self._h0.clear()
-        for lvl in self._levels:
-            if lvl is None or lvl.empty:
-                continue
-            items.extend(self._drain_level(lvl.k))
+        parts += [
+            self._drain_level(lvl.k)
+            for lvl in self._levels
+            if lvl is not None and not lvl.empty
+        ]
         for lvl in self._levels:
             if lvl is not None:
                 lvl.free_all()
@@ -638,4 +637,4 @@ class LogMethodHashTable(ExternalDictionary):
         self._size = 0
         self._shadow.clear()
         self._charge_memory()
-        return items
+        return np.concatenate(parts)

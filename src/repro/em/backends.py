@@ -10,10 +10,14 @@ charged I/O discipline run over different physical representations:
   it for a caller that mutates) and ``commit`` stores the given one.
 * :class:`ArenaBackend` — fixed-width records in preallocated numpy
   arrays (one row per block slot, an int64 length vector, a free-slot
-  list).  Record-level bulk operations (:meth:`StorageBackend.records_arr`,
+  list).  Record-level operations (:meth:`StorageBackend.records_arr`,
   :meth:`StorageBackend.append`, :meth:`StorageBackend.replace`,
   :meth:`StorageBackend.drain`) touch the arena directly — no per-block
-  Python object is materialised on the batch-engine fast paths — and
+  Python object is materialised on the batch-engine fast paths; the
+  row primitives (:meth:`StorageBackend.records_many`,
+  :meth:`StorageBackend.append_many`, :meth:`StorageBackend.replace_many`,
+  :meth:`StorageBackend.drain_many`) move a whole run of blocks of a
+  bulk merge, drain or rebuild in one row gather or scatter; and
   :meth:`StorageBackend.contains_keys` answers a whole probe round of
   the batch lookups' address-then-gather walk (each key against the one
   block its hash addresses, at every batch size below the walk's
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import itertools
 import mmap
 import os
 import pickle
@@ -53,7 +58,7 @@ import shutil
 import tempfile
 import weakref
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,6 +73,23 @@ __all__ = [
     "BACKENDS",
     "make_backend",
 ]
+
+
+def _id_list(block_ids: Sequence[int] | np.ndarray) -> list[int]:
+    """Block ids as a list of Python ints."""
+    return block_ids.tolist() if isinstance(block_ids, np.ndarray) else list(block_ids)
+
+
+def _check_fits(lengths: np.ndarray, cap: int) -> None:
+    """Raise ``ValueError`` if a block of a run would hold more than
+    ``cap`` records: ``lengths`` are the lengths a write leaves."""
+    over = np.flatnonzero(lengths > cap)
+    if over.size:
+        i = int(over[0])
+        raise ValueError(
+            f"block {i} of the run would hold {int(lengths[i])} records, "
+            f"over its capacity of {cap}"
+        )
 
 
 class StorageBackend(abc.ABC):
@@ -186,6 +208,64 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def is_fresh(self, block_id: int) -> bool:
         """Never written: no records and no header (allocation accounting)."""
+
+    # -- row primitives (a run of blocks per call) ---------------------------
+    #
+    # The bulk merges, drains and rebuilds of :mod:`repro.tables.overflow`
+    # move a run of chain-free buckets per call.  Block ids within a call
+    # are distinct, and ``items[bounds[i] : bounds[i + 1]]`` (``uint64``)
+    # is block ``i``'s group.  Each default is the loop of its per-block
+    # primitive, in block order, so a decorator sees one data-path call per
+    # block; the arena overrides them with one gather or scatter.
+
+    def length_many(self, block_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """:meth:`length` of every block, as an ``int64`` array."""
+        ids = _id_list(block_ids)
+        return np.fromiter(map(self.length, ids), np.int64, count=len(ids))
+
+    def is_fresh_many(self, block_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """:meth:`is_fresh` of every block, as a bool array."""
+        ids = _id_list(block_ids)
+        return np.fromiter(map(self.is_fresh, ids), bool, count=len(ids))
+
+    def records_many(self, block_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The records of every block, concatenated in block order, as a
+        ``uint64`` array the caller owns."""
+        rows = map(self.records, _id_list(block_ids))
+        return np.fromiter(itertools.chain.from_iterable(rows), np.uint64)
+
+    def append_many(
+        self, block_ids: Sequence[int] | np.ndarray, items: np.ndarray, bounds
+    ) -> None:
+        """:meth:`append` each group to its block.
+
+        Raises ``ValueError``, changing nothing, when a group would
+        overflow its block.
+        """
+        ids, bounds = _id_list(block_ids), np.asarray(bounds)
+        cap = self.b // self.record_words
+        _check_fits(self.length_many(ids) + np.diff(bounds), cap)
+        for bid, lo, hi in zip(ids, bounds[:-1].tolist(), bounds[1:].tolist()):
+            self.append(bid, items[lo:hi].tolist())
+
+    def replace_many(
+        self, block_ids: Sequence[int] | np.ndarray, items: np.ndarray, bounds
+    ) -> None:
+        """:meth:`replace` each block's records by its group.
+
+        Raises ``ValueError``, changing nothing, when a group would
+        overflow its block.
+        """
+        ids, bounds = _id_list(block_ids), np.asarray(bounds)
+        _check_fits(np.diff(bounds), self.b // self.record_words)
+        for bid, lo, hi in zip(ids, bounds[:-1].tolist(), bounds[1:].tolist()):
+            self.replace(bid, items[lo:hi].tolist())
+
+    def drain_many(self, block_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """:meth:`drain` every block; their records concatenated in block
+        order, as a ``uint64`` array."""
+        rows = map(self.drain, _id_list(block_ids))
+        return np.fromiter(itertools.chain.from_iterable(rows), np.uint64)
 
     # -- introspection -------------------------------------------------------
 
@@ -387,13 +467,17 @@ class ArenaBackend(StorageBackend):
         slot = self._slot[block_id]
         return bool((self._data[slot, : self._len[slot]] == key).any())
 
+    def _slots_of(self, block_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        ids = _id_list(block_ids)
+        return np.fromiter(map(self._slot.__getitem__, ids), np.int64, count=len(ids))
+
     def contains_keys(self, block_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """One row gather: ``data[slots, :max_len] == keys[:, None]``.
 
         Records at or past a block's length are stale, so a key counts
         as found only when its first match lies before that length.
         """
-        slots = np.fromiter(map(self._slot.__getitem__, block_ids.tolist()), np.int64)
+        slots = self._slots_of(block_ids)
         lengths = self._len[slots]
         # At least one column, so argmax never meets an empty row.
         eq = self._data[slots, : max(int(lengths.max(initial=0)), 1)] == keys[:, None]
@@ -443,9 +527,7 @@ class ArenaBackend(StorageBackend):
         and misses, as in the loop.  Chunks of :attr:`_REMOVE_CHUNK` pairs
         run in order, bounding the gather.
         """
-        slots = np.fromiter(
-            map(self._slot.__getitem__, block_ids.tolist()), np.int64, count=len(keys)
-        )
+        slots = self._slots_of(block_ids)
         hit = np.zeros(len(keys), dtype=bool)
         step = self._REMOVE_CHUNK
         for lo in range(0, len(keys), step):
@@ -486,6 +568,55 @@ class ArenaBackend(StorageBackend):
             self._len[self._slot[block_id]] == 0
             and block_id not in self._headers
         )
+
+    # -- row primitives: one gather or scatter per run ------------------------
+
+    def length_many(self, block_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        return self._len[self._slots_of(block_ids)]
+
+    def is_fresh_many(self, block_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        ids = _id_list(block_ids)
+        headed = np.fromiter(map(self._headers.__contains__, ids), bool, count=len(ids))
+        return (self.length_many(ids) == 0) & ~headed
+
+    def records_many(self, block_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        return self._gather(self._slots_of(block_ids))
+
+    def drain_many(self, block_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        slots = self._slots_of(block_ids)
+        out = self._gather(slots)
+        self._len[slots] = 0
+        return out
+
+    def append_many(
+        self, block_ids: Sequence[int] | np.ndarray, items: np.ndarray, bounds
+    ) -> None:
+        slots = self._slots_of(block_ids)
+        self._scatter(slots, self._len[slots], items, bounds)
+
+    def replace_many(
+        self, block_ids: Sequence[int] | np.ndarray, items: np.ndarray, bounds
+    ) -> None:
+        self._scatter(self._slots_of(block_ids), 0, items, bounds)
+
+    def _gather(self, slots: np.ndarray) -> np.ndarray:
+        """The live records of ``slots``, concatenated in slot order."""
+        lengths = self._len[slots]
+        rows = self._data[slots, : int(lengths.max(initial=0))]
+        return rows[np.arange(rows.shape[1]) < lengths[:, None]]
+
+    def _scatter(self, slots: np.ndarray, start, items: np.ndarray, bounds) -> None:
+        """Write group ``i`` of ``items`` into ``slots[i]`` from record
+        ``start`` (per slot, or one offset for all) on, and set each
+        length to the group's end; check every group fits first."""
+        bounds = np.asarray(bounds, dtype=np.int64)
+        counts = np.diff(bounds)
+        ends = start + counts
+        _check_fits(ends, self._cap)
+        rows = np.repeat(slots, counts)
+        cols = np.arange(bounds[0], bounds[-1]) - np.repeat(bounds[:-1] - start, counts)
+        self._data[rows, cols] = items[bounds[0] : bounds[-1]]
+        self._len[slots] = ends
 
     # -- introspection ----------------------------------------------------------
 

@@ -28,10 +28,11 @@ block is written or freed; a no-op here).
 charges below and the memoised :meth:`probe_record`, and no other
 charged method.
 
-A third tier, the **uncharged record-level API**
-(:meth:`records_arr`, :meth:`keys_in`, :meth:`remove_uncharged`,
-:meth:`append_uncharged`, :meth:`drain_uncharged`, ...), serves the
-batch engine: it reads and mutates the backend directly — no
+A third tier, the **uncharged record-level API** (:meth:`records_arr`,
+:meth:`keys_in`, :meth:`remove_uncharged`, and the run forms
+:meth:`append_run`, :meth:`replace_run` and :meth:`drain_run`, which
+move a run of blocks as ``uint64`` arrays in one backend call), serves
+the batch engine: it reads and mutates the backend directly — no
 :class:`Block` handle, no charge.  A batch path then charges what it did
 through one of two bulk methods: :meth:`charge_walk` for a lookup
 batch's probe walk, :meth:`charge_sweep` for a sweep that reads each
@@ -304,11 +305,14 @@ class Disk:
         bulk call) without materialising :class:`Block` handles; chain
         drains use it.
         """
-        records = self.backend.records
-        out: list[int] = []
+        return self.read_records_arr(block_ids).tolist()
+
+    def read_records_arr(self, block_ids: list[int] | np.ndarray) -> np.ndarray:
+        """:meth:`read_records` as one ``uint64`` array, read by one
+        :meth:`~StorageBackend.records_many` call: a rebuild reads its
+        whole old bucket row this way."""
         try:
-            for bid in block_ids:
-                out.extend(records(bid))
+            out = self.backend.records_many(block_ids)
         except KeyError as exc:
             raise InvalidBlockError(f"access to unknown block {exc.args[0]}") from None
         self._charge_stream(block_ids)
@@ -403,25 +407,34 @@ class Disk:
         """
         return self.backend.remove_keys(block_ids, keys)
 
-    def append_uncharged(self, block_id: int, items: list[int]) -> None:
-        """Append ``items`` to ``block_id`` without charging (bulk engine)."""
-        self._forget(block_id)
-        self.backend.append(block_id, items)
+    # The run forms below take a run of distinct block ids and, to write,
+    # a ``uint64`` array ``items`` with group ``i`` at
+    # ``items[bounds[i] : bounds[i + 1]]``: one backend call per run.
 
-    def replace_uncharged(self, block_id: int, items: list[int]) -> None:
-        """Overwrite ``block_id``'s records without charging (bulk engine)."""
-        self._forget(block_id)
-        self.backend.replace(block_id, items)
+    def append_run(self, block_ids: np.ndarray, items: np.ndarray, bounds) -> None:
+        """Append each group to its block without charging (bulk engine)."""
+        self._forget_each(block_ids)
+        self.backend.append_many(block_ids, items, bounds)
 
-    def drain_uncharged(self, block_id: int) -> list[int]:
-        """Empty ``block_id`` and return its records without charging.
+    def replace_run(self, block_ids: np.ndarray, items: np.ndarray, bounds) -> None:
+        """Overwrite each block's records by its group without charging."""
+        self._forget_each(block_ids)
+        self.backend.replace_many(block_ids, items, bounds)
+
+    def drain_run(self, block_ids: np.ndarray) -> np.ndarray:
+        """Empty a run of blocks and return their records, concatenated,
+        without charging.
 
         Draining an empty block writes nothing, so its cache frame stays.
         """
-        out = self.backend.drain(block_id)
-        if out:
-            self._forget(block_id)
-        return out
+        backend = self.backend
+        self._forget_each(np.asarray(block_ids)[backend.length_many(block_ids) > 0])
+        return backend.drain_many(block_ids)
+
+    def _forget_each(self, block_ids: np.ndarray) -> None:
+        forget = self._forget
+        for bid in np.asarray(block_ids).tolist():
+            forget(bid)
 
     # -- introspection -------------------------------------------------------
 

@@ -150,13 +150,16 @@ class BackendDecorator(StorageBackend):
     The nine data-path primitives — reads ``fetch``, ``records``,
     ``records_arr``, ``contains_key``; writes ``commit``, ``append``,
     ``replace``, ``drain``, ``remove_key`` — hand :meth:`_guard` their
-    kind, block id and the inner call; ``contains_keys`` keeps the base
-    loop over ``contains_key``, one guarded read per probed block, and
-    ``remove_keys`` the base loop over ``remove_key``, one guarded write
-    per probed block.
+    kind, block id and the inner call.  The batch and row primitives
+    keep the base class's loops over them, so each block is one guarded
+    op, in order, and a fault mid-run leaves exactly the blocks before it
+    written: ``contains_keys`` and ``records_many`` one read per block,
+    ``remove_keys``, ``append_many``, ``replace_many`` and ``drain_many``
+    one write per block.
     Lifecycle and introspection calls (``create``, ``delete``,
-    ``length`` ...) pass straight through: faults model the data path,
-    not the allocator.
+    ``length`` ...) pass straight through, as do ``length_many`` and
+    ``is_fresh_many`` by their loops: faults model the data path, not
+    the allocator.
     """
 
     def __init__(self, inner: StorageBackend) -> None:

@@ -15,7 +15,11 @@ are identical by construction — the parity suite
 bucket the item order is deterministic for a given numpy build but
 otherwise arbitrary (plain argsort, no stability guarantee); that is
 deliberate, since block-content order is never load-bearing — lookups
-scan whole blocks and I/O counts are order-independent.
+scan whole blocks and I/O counts are order-independent.  The partition
+is three arrays (bucket indices, group bounds, grouped ``uint64``
+items), which the bulk sweeps of :mod:`repro.tables.overflow` hand to
+the disk a run of buckets at a time, so no item becomes a Python object
+on the way from a drain or ``H_0`` to the blocks it lands in.
 """
 
 from __future__ import annotations
@@ -46,20 +50,21 @@ def normalize_keys(keys: Sequence[int] | np.ndarray) -> tuple[list[int], np.ndar
 
 def partition_by_bucket(
     keys: Sequence[int] | np.ndarray, bucket_idx: np.ndarray
-) -> list[tuple[int, list[int]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group ``keys`` by bucket index, ascending (deterministic but
     arbitrary order within each group — see the module docstring).
 
-    Returns ``[(bucket, items), ...]`` for non-empty buckets only, the
-    bucket visit order every merge/rebuild path (scalar and batch)
-    stages through.  A caller that needs arrival order within each
-    group uses :func:`partition_positions`.
+    Returns ``(buckets, bounds, items)`` arrays: the non-empty bucket
+    indices ascending (``int64``), ``len(buckets) + 1`` group bounds, and
+    the keys (``uint64``) grouped so that bucket ``buckets[j]`` receives
+    ``items[bounds[j] : bounds[j + 1]]`` — the bucket visit order every
+    merge/rebuild path stages through.  A caller that needs arrival
+    order within each group uses :func:`partition_positions`.
     """
-    n = len(bucket_idx)
-    if n == 0:
-        return []
     arr = np.asarray(keys, dtype=np.uint64)
     idx = np.asarray(bucket_idx)
+    if len(idx) == 0:
+        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), arr
     # Plain (unstable) argsort: within-bucket order is deterministic but
     # arbitrary, which is fine — both the scalar and batch merge paths
     # stage through this same partition, and block-content order is
@@ -67,14 +72,8 @@ def partition_by_bucket(
     order = np.argsort(idx)
     sorted_idx = idx[order]
     starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
-    buckets = sorted_idx[starts].tolist()
-    bounds = starts.tolist()
-    bounds.append(n)
-    key_seq = arr[order].tolist()
-    return [
-        (buckets[j], key_seq[bounds[j] : bounds[j + 1]])
-        for j in range(len(buckets))
-    ]
+    buckets = sorted_idx[starts].astype(np.int64)
+    return buckets, np.append(starts, len(idx)), arr[order]
 
 
 def partition_positions(bucket_idx: np.ndarray) -> list[tuple[int, np.ndarray]]:

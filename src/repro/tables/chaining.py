@@ -125,22 +125,23 @@ class ChainedHashTable(ExternalDictionary):
     def _rebuild(self, new_buckets: int) -> None:
         """Migrate into ``new_buckets`` fresh buckets (a full scan).
 
-        The scan order is unchanged from the scalar original (read and
-        free each old bucket, then write receiving buckets ascending);
-        only the staging is vectorised — one ``hash_array`` over all
-        items replaces a per-item ``bucket()`` call.
+        The scan charges what the scalar original did (read each old
+        bucket, free it, then write receiving buckets ascending); only
+        the staging is vectorised — the old buckets are read as one
+        charged stream before they are freed, and one ``hash_array`` over
+        all items replaces a per-item ``bucket()`` call.
         """
         self.stats.rebuilds += 1
         old = self._buckets
-        self._buckets = ChainedBucket.bulk_row(self.ctx.disk, new_buckets)
+        disk = self.ctx.disk
+        self._buckets = ChainedBucket.bulk_row(disk, new_buckets)
         self._charge_memory()
-        moved: list[int] = []
+        moved = disk.read_records_arr([bid for bkt in old for bid in bkt.block_ids])
         for bkt in old:
-            moved.extend(bkt.read_all())
             bkt.free_all()
-        arr = np.asarray(moved, dtype=np.uint64)
-        parts = partition_by_bucket(arr, self.h.hash_array(arr) % np.uint64(new_buckets))
-        bulk_fill_buckets(self._buckets, parts, self.ctx.disk)
+        d = np.uint64(new_buckets)
+        parts = partition_by_bucket(moved, self.h.hash_array(moved) % d)
+        bulk_fill_buckets(self._buckets, parts, disk)
         # One O(d) recount per rebuild (replace_all may have grown
         # chains for over-full groups); inserts then stay O(1).
         self._chain_blocks = sum(bkt.chain_length for bkt in self._buckets)

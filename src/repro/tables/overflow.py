@@ -18,11 +18,23 @@ un-charged in EM analyses).
 An insert updates a private copy from :meth:`~repro.em.disk.Disk.load`
 and commits it with :meth:`~repro.em.disk.Disk.store`; a rewrite stores
 freshly built blocks, and the chain-free probes run record-level.
+
+The bulk sweeps at the end (:func:`bulk_merge_into`,
+:func:`bulk_fill_buckets`, :func:`bulk_drain`) merge into, fill and
+drain a whole bucket row, with the items as ``uint64`` arrays.  Each run
+of chain-free buckets between two fallback buckets costs one
+:meth:`~repro.em.disk.Disk.charge_sweep` and one run-form disk call
+(``append_run``, ``replace_run``, ``drain_run``), not a Python step per
+bucket; a chained or overflowing bucket takes the per-bucket path in
+bucket order.  Each sweep charges exactly the per-bucket loop it
+replaces.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
+
+import numpy as np
 
 from ..em.block import Block
 from ..em.disk import Disk
@@ -186,109 +198,102 @@ class ChainedBucket:
         self._chain.clear()
 
 
-def _sweep(disk: Disk, run: list, mutate, **charge) -> None:
-    """Charge ``run``'s chain-free buckets as one sweep, then apply
-    ``mutate(block id, payload)`` to each, in order, and empty ``run``.
-
-    The charge comes first: a cached disk samples residency before the
-    uncharged mutators drop frames.  The callers below flush their run
-    before every fallback bucket, so charges land in bucket order.
-    """
-    if run:
-        disk.charge_sweep([bid for bid, _ in run], **charge)
-        for bid, payload in run:
-            mutate(bid, payload)
-        run.clear()
+#: A partition's ``(buckets, bounds, items)`` arrays: bucket
+#: ``buckets[j]`` receives ``items[bounds[j] : bounds[j + 1]]``.
+Parts = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def bulk_merge_into(
-    buckets: list[ChainedBucket],
-    parts: list[tuple[int, list[int]]],
-    disk: Disk,
-) -> None:
+def _primaries(buckets: list[ChainedBucket]) -> tuple[np.ndarray, np.ndarray]:
+    """Each bucket's primary block id, and whether it has a chain."""
+    primary = np.fromiter((b.primary for b in buckets), np.int64, count=len(buckets))
+    chained = np.fromiter((bool(b._chain) for b in buckets), bool, count=len(buckets))
+    return primary, chained
+
+
+def _runs(fallback: np.ndarray):
+    """Walk positions ``0 .. len(fallback) - 1`` in order: yield
+    ``(lo, hi, f)`` for each fallback position ``f``, ``[lo, hi)`` the
+    run of sweepable positions before it, and a last ``(lo, n, None)``."""
+    lo = 0
+    for f in np.flatnonzero(fallback).tolist():
+        yield lo, f, f
+        lo = f + 1
+    yield lo, len(fallback), None
+
+
+def bulk_merge_into(buckets: list[ChainedBucket], parts: Parts, disk: Disk) -> None:
     """Merge per-bucket item groups into ``buckets`` at bulk prices.
 
     ``parts`` is the output of
     :func:`~repro.tables.batching.partition_by_bucket`.  Charges exactly
     the per-bucket loop of :meth:`ChainedBucket.absorb` (``read_all`` +
-    ``replace_all``): a chain-free bucket whose merged contents still fit
-    one block is appended to uncharged and charged by
-    :meth:`~repro.em.disk.Disk.charge_sweep` — one read, then a write
-    (a first write when the block was fresh); a chained or overflowing
-    bucket runs ``absorb`` itself.
+    ``replace_all``).  A run of chain-free buckets whose merged contents
+    still fit one block is charged by one
+    :meth:`~repro.em.disk.Disk.charge_sweep` — a read, then a write of
+    each block (a first write when the block was fresh) — and then
+    appended to by one :meth:`~repro.em.disk.Disk.append_run`; a chained
+    or overflowing bucket runs ``absorb`` itself, in bucket order between
+    the runs.
     """
-    cap = disk.b // disk.record_words
+    idx, bounds, items = parts
+    receiving = [buckets[j] for j in idx.tolist()]
+    primary, chained = _primaries(receiving)
     backend = disk.backend
-    run: list[tuple[int, list[int]]] = []
-
-    def flush() -> None:
-        fresh = [backend.is_fresh(bid) for bid, _ in run]
-        _sweep(disk, run, disk.append_uncharged, fresh=fresh)
-
-    for idx, incoming in parts:
-        bkt = buckets[idx]
-        if bkt._chain or backend.length(bkt.primary) + len(incoming) > cap:
-            flush()
-            bkt.absorb(incoming)
-        else:
-            run.append((bkt.primary, incoming))
-    flush()
+    cap = disk.b // disk.record_words
+    fits = ~chained & (backend.length_many(primary) + np.diff(bounds) <= cap)
+    for lo, hi, f in _runs(~fits):
+        if lo < hi:
+            run = primary[lo:hi]
+            disk.charge_sweep(run.tolist(), fresh=backend.is_fresh_many(run))
+            disk.append_run(run, items, bounds[lo : hi + 1])
+        if f is not None:
+            receiving[f].absorb(items[bounds[f] : bounds[f + 1]].tolist())
 
 
-def bulk_fill_buckets(
-    buckets: list[ChainedBucket],
-    parts: list[tuple[int, list[int]]],
-    disk: Disk,
-) -> None:
+def bulk_fill_buckets(buckets: list[ChainedBucket], parts: Parts, disk: Disk) -> None:
     """Write staged groups into freshly allocated, never-written buckets.
 
     The rebuild counterpart of :func:`bulk_merge_into`: charges exactly
-    the per-bucket loop of :meth:`ChainedBucket.replace_all`.  A group
-    that fits one block is written uncharged and charged as a write-only
-    sweep of first writes; a larger group runs ``replace_all`` itself.
+    the per-bucket loop of :meth:`ChainedBucket.replace_all`.  A run of
+    groups that each fit one block is charged as one write-only sweep of
+    first writes and written by one :meth:`~repro.em.disk.Disk.replace_run`;
+    a larger group runs ``replace_all`` itself.
     """
-    cap = disk.b // disk.record_words
-    run: list[tuple[int, list[int]]] = []
-
-    def flush() -> None:
-        _sweep(disk, run, disk.replace_uncharged, fresh=[True] * len(run), read=False)
-
-    for idx, items in parts:
-        if len(items) > cap:
-            flush()
-            buckets[idx].replace_all(items)
-        else:
-            run.append((buckets[idx].primary, items))
-    flush()
+    idx, bounds, items = parts
+    receiving = [buckets[j] for j in idx.tolist()]
+    primary, _ = _primaries(receiving)
+    over = np.diff(bounds) > disk.b // disk.record_words
+    for lo, hi, f in _runs(over):
+        if lo < hi:
+            run = primary[lo:hi]
+            disk.charge_sweep(run.tolist(), fresh=[True] * (hi - lo), read=False)
+            disk.replace_run(run, items, bounds[lo : hi + 1])
+        if f is not None:
+            receiving[f].replace_all(items[bounds[f] : bounds[f + 1]].tolist())
 
 
-def bulk_drain(buckets: list[ChainedBucket], disk: Disk) -> list[int]:
+def bulk_drain(buckets: list[ChainedBucket], disk: Disk) -> np.ndarray:
     """Read out and empty every bucket of a row; return the items.
 
     Charges exactly the per-bucket loop ``got = read_all()``, then
     ``replace_all([])`` when ``got`` is non-empty: every bucket is read,
-    empty ones too.  Chain-free buckets are drained uncharged and charged
-    by :meth:`~repro.em.disk.Disk.charge_sweep`, rewriting the non-empty
-    ones; chained buckets run the loop itself.
+    empty ones too.  A run of chain-free buckets is charged by one
+    :meth:`~repro.em.disk.Disk.charge_sweep`, rewriting the non-empty
+    ones, and emptied by one :meth:`~repro.em.disk.Disk.drain_run`; a
+    chained bucket runs the loop itself.  The items come out in bucket
+    order, as a ``uint64`` array.
     """
-    length = disk.backend.length
-    items: list[int] = []
-    run: list[tuple[int, None]] = []
-
-    def drain(bid: int, _) -> None:
-        items.extend(disk.drain_uncharged(bid))
-
-    def flush() -> None:
-        _sweep(disk, run, drain, written=[length(bid) > 0 for bid, _ in run])
-
-    for bkt in buckets:
-        if bkt._chain:
-            flush()
-            got = bkt.read_all()
-            if got:
-                items.extend(got)
-                bkt.replace_all([])
-        else:
-            run.append((bkt.primary, None))
-    flush()
-    return items
+    primary, chained = _primaries(buckets)
+    lengths = disk.backend.length_many(primary)
+    out: list[np.ndarray] = []
+    for lo, hi, f in _runs(chained):
+        if lo < hi:
+            run = primary[lo:hi]
+            disk.charge_sweep(run.tolist(), written=lengths[lo:hi] > 0)
+            out.append(disk.drain_run(run))
+        if f is not None:
+            got = disk.read_records_arr(buckets[f].block_ids)
+            if got.size:
+                out.append(got)
+                buckets[f].replace_all([])
+    return np.concatenate(out) if out else np.empty(0, dtype=np.uint64)

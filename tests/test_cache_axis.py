@@ -306,9 +306,30 @@ def _sweep_state(ctx):
     )
 
 
-@pytest.mark.parametrize("cache_blocks", [0, 2, 8, 48])
-@pytest.mark.parametrize("policy_name", ["paper", "strict"])
-def test_sweeps_equal_their_per_bucket_loops(policy_name, cache_blocks):
+def _groups(parts):
+    """``(bucket, items)`` per group of a partition, items as Python ints."""
+    idx, bounds, items = parts
+    return [
+        (j, items[lo:hi].tolist())
+        for j, lo, hi in zip(idx.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
+
+
+#: Policy x pool frames x backend; the mapping cases keep their
+#: original ids (``paper-0`` ...), the arena ones add the backend name.
+SWEEP_CASES = [
+    pytest.param(
+        policy, frames, backend,
+        id=f"{policy}-{frames}" + ("" if backend == "mapping" else f"-{backend}"),
+    )
+    for backend in ("mapping", "arena", "durable-arena")
+    for policy in ("paper", "strict")
+    for frames in (0, 2, 8, 48)
+]
+
+
+@pytest.mark.parametrize("policy_name, cache_blocks, backend", SWEEP_CASES)
+def test_sweeps_equal_their_per_bucket_loops(policy_name, cache_blocks, backend):
     """``_drain_level``, ``bulk_merge_into`` and ``bulk_fill_buckets``
     charge, and leave the pool, exactly as the loops their docstrings
     name, on a cramped log-method table warmed by lookups.  This pins
@@ -321,7 +342,7 @@ def test_sweeps_equal_their_per_bucket_loops(policy_name, cache_blocks):
         keys = rnd.sample(range(10**12), rnd.randrange(150, 500))
         twins = []
         for _ in range(2):
-            ctx = make_context(b=8, m=64, policy=policy,
+            ctx = make_context(b=8, m=64, policy=policy, backend=backend,
                                cache_blocks=cache_blocks, hard_memory=False)
             table = LogMethodHashTable(ctx, MULTIPLY_SHIFT.sample(ctx.u, seed=7))
             table.insert_batch(keys)
@@ -349,18 +370,19 @@ def test_sweeps_equal_their_per_bucket_loops(policy_name, cache_blocks):
         k = rnd.choice(sweep.nonempty_levels())
         aim(k, range(len(sweep._levels[k - 1].buckets)))
         moving = sweep._drain_level(k)
-        assert moving == _drain_loop(loop, k)
+        assert moving.tolist() == _drain_loop(loop, k)
         check("drain")
 
         target = sweep._get_level(k + 1).buckets
         loop._get_level(k + 1)
-        arr = np.asarray(moving + rnd.sample(range(10**12), 40), dtype=np.uint64)
+        arr = np.asarray(moving.tolist() + rnd.sample(range(10**12), 40),
+                         dtype=np.uint64)
         parts = partition_by_bucket(
             arr, sweep.h.hash_array(arr) % np.uint64(len(target))
         )
-        aim(k + 1, [idx for idx, _ in parts])
+        aim(k + 1, parts[0].tolist())
         bulk_merge_into(target, parts, ctx_s.disk)
-        for idx, incoming in parts:
+        for idx, incoming in _groups(parts):
             loop._levels[k].buckets[idx].absorb(incoming)
         check("merge")
 
@@ -369,7 +391,7 @@ def test_sweeps_equal_their_per_bucket_loops(policy_name, cache_blocks):
         items = rnd.sample(range(10**12), 48)
         parts = partition_by_bucket(items, np.asarray(items) % 6)
         bulk_fill_buckets(rows[0], parts, ctx_s.disk)
-        for idx, group in parts:
+        for idx, group in _groups(parts):
             rows[1][idx].replace_all(group)
         check("fill")
 
@@ -457,8 +479,11 @@ def _store_after_load(disk, bid):
 
 
 def _bulk_merge(disk, bid):
-    bulk_merge_into([ChainedBucket(disk, primary=bid)], [(0, [99])], disk)
+    parts = (np.array([0]), np.array([0, 1]), np.array([99], dtype=np.uint64))
+    bulk_merge_into([ChainedBucket(disk, primary=bid)], parts, disk)
 
+
+_GROUP_99 = (np.array([99], dtype=np.uint64), [0, 1])
 
 #: Each path that mutates a block holding ``[7]``, and the records it
 #: holds afterwards.
@@ -466,9 +491,9 @@ MUTATIONS = {
     "write": (lambda disk, bid: disk.write(bid, Block(4, data=[99])), [99]),
     "load-store": (_store_after_load, [7, 99]),
     "remove_record": (lambda disk, bid: disk.remove_record(bid, 7), []),
-    "append_uncharged": (lambda disk, bid: disk.append_uncharged(bid, [99]), [7, 99]),
-    "replace_uncharged": (lambda disk, bid: disk.replace_uncharged(bid, [99]), [99]),
-    "drain_uncharged": (lambda disk, bid: disk.drain_uncharged(bid), []),
+    "append_run": (lambda disk, bid: disk.append_run([bid], *_GROUP_99), [7, 99]),
+    "replace_run": (lambda disk, bid: disk.replace_run([bid], *_GROUP_99), [99]),
+    "drain_run": (lambda disk, bid: disk.drain_run([bid]), []),
     "bulk_merge_into": (_bulk_merge, [7, 99]),
 }
 

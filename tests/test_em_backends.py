@@ -22,12 +22,90 @@ from repro.em import (
     MappingBackend,
     make_backend,
 )
+from repro.em.backends import DurableArenaBackend
 from repro.em.errors import ConfigurationError
 
 
 @pytest.fixture(params=sorted(BACKENDS))
 def backend(request):
     return make_backend(request.param, 8)
+
+
+def _u64(*values):
+    return np.array(values, dtype=np.uint64)
+
+
+#: The run the row-primitive tests move, in this (non-ascending) order:
+#: block 9 sits on block 2's recycled slot and block 8 on block 5's.
+ROW = [9, 0, 4, 8, 3]
+#: Per method, the items of the run's groups, in ``ROW`` order.  The
+#: appends fill the fresh block 8 and block 3 to exactly the capacity of
+#: 4; the replaces fill block 8 and shrink block 3.
+GROUPS = {
+    "append": [[], [21], [22, 23], [31, 32, 33, 34], [41]],
+    "replace": [[], [11, 12], [21, 22], [31, 32, 33, 34], [41]],
+}
+
+
+def _groups(method, count):
+    """The first ``count`` groups of ``method`` as ``(items, bounds)``."""
+    groups = GROUPS[method][:count]
+    bounds = np.cumsum([0] + [len(g) for g in groups]).tolist()
+    return _u64(*(x for g in groups for x in g)), bounds
+
+
+def _history(name):
+    """A 4-record-block backend whose ids and arena slots are out of step.
+
+    Blocks 1-7 hold ``bid % 4`` records and block 0 none; 2 and 5 are
+    freed and their slots recycled by 8 and 9, whose rows keep stale
+    records past length 0; block 4 holds a header alone and block 3 a
+    chain pointer as well as 3 records.
+    """
+    be = make_backend(name, 4)
+    be.create_many(range(8))
+    for bid in range(8):
+        be.append(bid, [10 * bid + j for j in range(bid % 4)])
+    for bid, header in ((4, {"overflowed": True}), (3, {"next": 7})):
+        blk = be.fetch(bid)
+        blk.header.update(header)
+        be.commit(bid, blk)
+    be.delete(2)
+    be.delete(5)
+    be.create(8)
+    be.create(9)
+    if hasattr(be, "_slot"):
+        assert (be._slot[8], be._slot[9]) == (5, 2)
+    return be
+
+
+def _reads_equal_their_loops(row, twin):
+    ids = list(ROW)
+    assert row.length_many(ids).tolist() == [twin.length(b) for b in ids]
+    assert row.is_fresh_many(np.array(ids)).tolist() == [twin.is_fresh(b) for b in ids]
+    got = row.records_many(np.array(ids))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [x for b in ids for x in twin.records(b)]
+    assert _row_state(row) == _row_state(twin)
+    drained = row.drain_many(ids)
+    assert drained.tolist() == [x for b in ids for x in twin.drain(b)]
+    assert _row_state(row) == _row_state(twin)
+
+
+def _writes_equal_their_loops(row, twin, method):
+    items, bounds = _groups(method, len(ROW))
+    getattr(row, f"{method}_many")(np.array(ROW), items, bounds)
+    for bid, lo, hi in zip(ROW, bounds[:-1], bounds[1:]):
+        getattr(twin, method)(bid, items[lo:hi].tolist())
+    assert _row_state(row) == _row_state(twin)
+
+
+def _row_state(be):
+    """Every block's records, length, freshness and header."""
+    return {
+        bid: (be.records(bid), be.length(bid), be.is_fresh(bid), be.fetch(bid).header)
+        for bid in be.ids()
+    }
 
 
 class TestProtocol:
@@ -121,6 +199,58 @@ class TestProtocol:
         assert all(type(x) is int for x in backend.records(0))
         blk = backend.fetch(0)
         assert all(type(x) is int for x in blk.records())
+        # The row writes store Python ints too, and the row reads hand
+        # out uint64 arrays whose lists are Python ints.
+        backend.create_many([1, 2])
+        backend.append_many([1], _u64(4, 5), [0, 2])
+        backend.replace_many([2], _u64(6), [0, 1])
+        for bid in (1, 2):
+            assert all(type(x) is int for x in backend.records(bid))
+            assert all(type(x) is int for x in backend.fetch(bid).records())
+        for rows in (backend.records_many([0, 1, 2]), backend.drain_many([2, 1])):
+            assert rows.dtype == np.uint64
+            assert all(type(x) is int for x in rows.tolist())
+
+    # -- the row primitives against the per-block loops they replace ---------
+
+    def test_row_reads_equal_their_loops(self, backend):
+        row, twin = _history(backend.name), _history(backend.name)
+        _reads_equal_their_loops(row, twin)
+        for call in ("length_many", "is_fresh_many", "records_many", "drain_many"):
+            assert getattr(row, call)([]).tolist() == []
+
+    @pytest.mark.parametrize("method", ["append", "replace"])
+    def test_row_writes_equal_their_loops(self, backend, method):
+        """Groups of 0 to 4 records over a non-ascending run: an empty
+        group, a fresh block, blocks filled to exactly the capacity, a
+        header-only block, on recycled arena slots."""
+        row, twin = _history(backend.name), _history(backend.name)
+        _writes_equal_their_loops(row, twin, method)
+        getattr(row, f"{method}_many")([], *_groups(method, 0))
+        assert _row_state(row) == _row_state(twin)
+
+    @pytest.mark.parametrize("method", ["append", "replace"])
+    def test_overflowing_run_changes_nothing(self, backend, method):
+        """A group that would overflow its block raises before any block
+        of the run is written, the blocks before it included."""
+        row, twin = _history(backend.name), _history(backend.name)
+        items, bounds = _groups(method, len(ROW))
+        items = np.concatenate([items, _u64(95, 96, 97, 98)])
+        bounds[-1] += 4  # the last group, block 3's, overflows
+        with pytest.raises(ValueError, match="capacity of 4"):
+            getattr(row, f"{method}_many")(ROW, items, bounds)
+        assert _row_state(row) == _row_state(twin)
+
+    @pytest.mark.parametrize("method", ["append", "replace"])
+    def test_rows_of_a_reopened_durable_arena(self, method):
+        """The arena scatter and gather over a durable arena re-opened from
+        its flushed files, against the loops on a mapping twin."""
+        before = _history("durable-arena")
+        before.flush()
+        row, twin = DurableArenaBackend.open(before.path), _history("mapping")
+        assert _row_state(row) == _row_state(twin)
+        _writes_equal_their_loops(row, twin, method)
+        _reads_equal_their_loops(row, twin)
 
 
 class TestArena:

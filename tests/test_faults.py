@@ -84,6 +84,24 @@ DATA_PATH = {
         "write",
         lambda be: be.remove_keys(_ids(0), _ids(5)).tolist(),
     ),
+    "records_many": ("read", lambda be: be.records_many([0]).tolist()),
+    "append_many": ("write", lambda be: be.append_many([1], _ids(9, 11), [0, 2])),
+    "replace_many": ("write", lambda be: be.replace_many([0], _ids(2, 4), [0, 2])),
+    "drain_many": ("write", lambda be: be.drain_many([0]).tolist()),
+}
+
+#: Each row write over a two-block run of ``_filled()``, and the contents
+#: it leaves when only its first block was written.
+ROW_WRITES = {
+    "append": (
+        lambda be: be.append_many([1, 0], _ids(2, 4, 6), [0, 2, 3]),
+        {0: [3, 5, 7], 1: [2, 4]},
+    ),
+    "replace": (
+        lambda be: be.replace_many([1, 0], _ids(2, 4, 6), [0, 2, 3]),
+        {0: [3, 5, 7], 1: [2, 4]},
+    ),
+    "drain": (lambda be: be.drain_many([1, 0]).tolist(), {0: [3, 5, 7], 1: []}),
 }
 
 #: Every lifecycle/introspection method the decorators pass straight on.
@@ -94,6 +112,8 @@ PASS_THROUGH = {
     "__contains__": lambda be: (0 in be, 4 in be),
     "length": lambda be: be.length(0),
     "is_fresh": lambda be: (be.is_fresh(0), be.is_fresh(1)),
+    "length_many": lambda be: be.length_many([0, 1]).tolist(),
+    "is_fresh_many": lambda be: be.is_fresh_many([0, 1]).tolist(),
     "ids": lambda be: sorted(be.ids()),
     "count": lambda be: be.count(),
     "nonempty": lambda be: be.nonempty(),
@@ -179,6 +199,33 @@ class TestDecoratorRouting:
         )
         assert retrier.remove_keys(blocks, keys).tolist() == expected
         assert (faulty.injected, retrier.retries, faulty.clock.ops) == (1, 1, 5)
+
+    @pytest.mark.parametrize("method", sorted(ROW_WRITES))
+    def test_row_writes_tick_once_per_block(self, method):
+        """A run's write is one guarded write per block, in run order: a
+        fault on the second block leaves exactly the first one written,
+        as the per-bucket loop did, and a one-op burst heals under the
+        retry layer."""
+        run, after_first = ROW_WRITES[method]
+        twin = _filled()
+        expected = run(twin)
+        trace: list[str] = []
+        faulty = FaultInjectingBackend(_filled(), trace=trace)
+        assert run(faulty) == expected
+        assert (faulty.clock.ops, trace) == (2, ["write"] * 2)
+        assert _contents(faulty.inner) == _contents(twin)
+        second = FaultSchedule(write_faults={2: 1})
+        faulty = FaultInjectingBackend(_filled(), schedule=second)
+        with pytest.raises(StorageFault):
+            run(faulty)
+        assert _contents(faulty.inner) == after_first
+        faulty = FaultInjectingBackend(_filled(), schedule=second)
+        retrier = RetryingBackend(
+            faulty, policy=RetryPolicy(max_retries=1, backoff_s=0)
+        )
+        assert run(retrier) == expected
+        assert (faulty.injected, retrier.retries, faulty.clock.ops) == (1, 1, 3)
+        assert _contents(faulty.inner) == _contents(twin)
 
     @pytest.mark.parametrize("method", ["append", "replace"])
     def test_crash_tears_multi_record_writes_only(self, method):
